@@ -33,14 +33,13 @@ import heapq
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.bounds import MinDistBounds
 from repro.core.dominance import SkylineSet
 from repro.core.nninit import nninit, nninit_ratio, _destination_distances
 from repro.core.query import QueryContext
 from repro.core.scores import PartialRoute
 from repro.graphs.categories import CategoryForest
+from repro.graphs.dijkstra import settle
 from repro.graphs.generator import Graph
 
 INF = float("inf")
@@ -52,7 +51,6 @@ class BSSROptions:
     pq_mode: str = "proposed"  # "proposed" | "distance"
     use_min_dist: bool = True
     use_cache: bool = True
-    use_lemma55: bool = True  # core mDijkstra rule, not one of the four opts
 
     @classmethod
     def none(cls) -> "BSSROptions":
@@ -146,8 +144,12 @@ class _BSSRRun:
         self.stats = BSSRStats()
         # Lemma 5.5 / caching are only route-independent when the query's
         # match sets are pairwise disjoint (DESIGN.md §deviations-3).
-        self.lemma55 = options.use_lemma55 and self.ctx.trees_distinct
         self.cache_on = options.use_cache and self.ctx.trees_distinct
+        # Lemma 5.5-ii: the modified Dijkstra never passes a perfect match.
+        # One byte per vertex (0 = perfect match), indexed like a list.
+        self.through = [
+            (a != 1.0).tobytes() if self.ctx.trees_distinct else None for a in self.ctx.sim_arrs
+        ]
         self.cache: dict[tuple[int, int], _CacheEntry] = {}
         self.S = SkylineSet()
         self.bounds = MinDistBounds.zeros(self.ctx.k)
@@ -189,47 +191,36 @@ class _BSSRRun:
     def _scan(self, p_d: int, pos: int, budget: float) -> _CacheEntry:
         """One modified-Dijkstra execution (Algorithm 2), complete for all
         matching PoIs with ``dist < budget`` from ``p_d``."""
-        g = self.ctx.graph
-        indptr, indices, weights = g.csr()
-        sim_arr = self.ctx.sim_arrs[pos]
+        adj = self.ctx.graph.adjacency()
+        sim = self.ctx.match_sims[pos]
+        through = self.through[pos]
         first_run = self.stats.mdijkstra_runs == 0
         self.stats.mdijkstra_runs += 1
 
-        dist = np.full(g.n_vertices, INF)
-        passed = np.zeros(g.n_vertices)
-        settled = np.zeros(g.n_vertices, dtype=bool)
-        dist[p_d] = 0.0
-        pq: list[tuple[float, int]] = [(0.0, p_d)]
+        # passed[u]: best similarity on u's shortest path before u (Lemma 5.5-i).
+        passed: dict[int, float] = {}
         cands: list[tuple[float, int, float]] = []
         radius = INF
         weight_sum = 0.0
         max_d = 0.0
-        while pq:
-            d, u = heapq.heappop(pq)
-            if settled[u]:
-                continue
+        for d, u, parent in settle(self.ctx.graph, (p_d,), through=through):
             if d >= budget:
                 radius = d  # complete below d; candidates at >= d not emitted
                 break
-            settled[u] = True
             self.stats.visited_vertices += 1
             max_d = d
-            sim_u = float(sim_arr[u])
-            if sim_u > 0.0 and (not self.lemma55 or sim_u > passed[u]):
-                cands.append((d, u, sim_u))
-            if self.lemma55 and sim_u == 1.0:
-                continue  # Lemma 5.5-ii: never worth passing a perfect match
-            new_passed = max(passed[u], sim_u) if self.lemma55 else 0.0
-            for j in range(indptr[u], indptr[u + 1]):
-                v = indices[j]
-                w = weights[j]
-                if first_run:
+            sim_u = sim.get(u, 0.0)
+            if through is None:
+                if sim_u > 0.0:
+                    cands.append((d, u, sim_u))
+            else:
+                passed_u = max(passed[parent], sim.get(parent, 0.0)) if parent >= 0 else 0.0
+                passed[u] = passed_u
+                if sim_u > passed_u:
+                    cands.append((d, u, sim_u))
+            if first_run and (through is None or through[u]):
+                for _v, w in adj[u]:
                     weight_sum += w
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    passed[v] = new_passed
-                    heapq.heappush(pq, (nd, v))
         if first_run:
             self.stats.first_weight_sum = weight_sum
             self.stats.first_radius = max_d

@@ -12,22 +12,16 @@ returns whatever it found; BSSR stays exact (thresholds just start at inf).
 """
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.core.dominance import SkylineSet
 from repro.core.query import QueryContext
 from repro.core.scores import semantic_score
-from repro.graphs.dijkstra import dijkstra
-
-INF = float("inf")
+from repro.graphs.dijkstra import dijkstra, settle
 
 
 def nninit(ctx: QueryContext) -> SkylineSet:
     """Run Algorithm 3; returns the seeded minimal set ``S``."""
-    g = ctx.graph
-    indptr, indices, weights = g.csr()
     S = SkylineSet()
     route: tuple[int, ...] = ()
     total_len = 0.0
@@ -35,19 +29,10 @@ def nninit(ctx: QueryContext) -> SkylineSet:
     dest_extra = _destination_distances(ctx)
 
     for i in range(ctx.k):
-        sim_arr = ctx.sim_arrs[i]
+        sim = ctx.match_sims[i]
         last = i == ctx.k - 1
-        dist = np.full(g.n_vertices, INF)
-        dist[start] = 0.0
-        settled = np.zeros(g.n_vertices, dtype=bool)
-        pq: list[tuple[float, int]] = [(0.0, start)]
-        found_perfect = False
-        while pq:
-            d, u = heapq.heappop(pq)
-            if settled[u]:
-                continue
-            settled[u] = True
-            sim_u = sim_arr[u]
+        for d, u, _p in settle(ctx.graph, (start,)):
+            sim_u = sim.get(u, 0.0)
             usable = sim_u > 0.0 and u not in route
             if last and usable:
                 # Every semantic match settled on the way in completes a
@@ -58,15 +43,8 @@ def nninit(ctx: QueryContext) -> SkylineSet:
                 route = route + (u,)
                 total_len += d
                 start = u
-                found_perfect = True
                 break
-            for j in range(indptr[u], indptr[u + 1]):
-                v = indices[j]
-                nd = d + weights[j]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(pq, (nd, v))
-        if not found_perfect:
+        else:
             break  # no perfect match reachable — return what we have
     return S
 

@@ -3,8 +3,9 @@
 For each position ``i`` of the category sequence the search needs, over and
 over: which vertices semantically match ``c_i`` (same tree), with what
 similarity, and which match perfectly.  :class:`QueryContext` materializes
-those as dense per-vertex arrays once per query, so the inner Dijkstra loops
-are O(1) per settled vertex.
+those once per query, as dense per-vertex arrays and as per-position dicts
+of the matching vertices, so the inner Dijkstra loops are O(1) per settled
+vertex.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ class QueryContext:
     destination: int | None = None
 
     sim_arrs: list[np.ndarray] = field(init=False)  # per position: vertex -> sim (0 if no match)
+    match_sims: list[dict[int, float]] = field(init=False)  # per position: matching vertex -> sim
     perfect_pois: list[np.ndarray] = field(init=False)
     tree_pois: list[np.ndarray] = field(init=False)
     max_nonperfect: list[float] = field(init=False)
@@ -35,6 +37,7 @@ class QueryContext:
     def __post_init__(self) -> None:
         g, forest = self.graph, self.forest
         self.sim_arrs = []
+        self.match_sims = []
         self.perfect_pois = []
         self.tree_pois = []
         self.max_nonperfect = []
@@ -52,9 +55,11 @@ class QueryContext:
             for p, cats in g.extra_cats.items():
                 for c2 in cats:
                     arr[p] = max(arr[p], simmap[c2])
+            tree = np.nonzero(arr > 0)[0]
             self.sim_arrs.append(arr)
+            self.match_sims.append(dict(zip(tree.tolist(), arr[tree].tolist())))
             self.perfect_pois.append(np.nonzero(arr == 1.0)[0])
-            self.tree_pois.append(np.nonzero(arr > 0)[0])
+            self.tree_pois.append(tree)
             nonperf = simmap[(simmap > 0) & (simmap < 1.0)]
             self.max_nonperfect.append(float(nonperf.max()) if len(nonperf) else 0.0)
         # Gate for Lemma 5.5 / on-the-fly caching: those arguments need the

@@ -36,6 +36,7 @@ from pyspark.sql import types as T
 from pyspark.sql.window import Window
 
 from repro.core.bounds import MinDistBounds
+from repro.core.dominance import _EPS
 from repro.core.nninit import nninit, _destination_distances
 from repro.core.query import QueryContext
 from repro.graphs.categories import WU_PALMER_SQL, CategoryForest
@@ -43,7 +44,6 @@ from repro.graphs.generator import Dataset, Graph
 from repro.graphs.sssp_spark import bellman_ford_sssp, edges_bidirectional, partitioned_dijkstra
 
 INF = float("inf")
-_EPS = 1e-12
 
 
 # ------------------------------------------------------------- table views

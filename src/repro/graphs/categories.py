@@ -148,17 +148,6 @@ class CategoryForest:
             {"cat_id": np.int64, "anc_id": np.int64, "anc_depth": np.int64}
         )
 
-    def sim_pandas(self, target: int) -> pd.DataFrame:
-        """``(cat_id, sim)`` for every category in the tree of ``target``."""
-        rows = [
-            (c, self.sim(c, target))
-            for c in range(self.n_categories)
-            if self.tree_id[c] == self.tree_id[target]
-        ]
-        return pd.DataFrame(rows, columns=["cat_id", "sim"]).astype(
-            {"cat_id": np.int64, "sim": np.float64}
-        )
-
 
 # ------------------------------------------------------------ constructors
 def build_forest(tree_specs: list[tuple[str, list[tuple[str, int]]]]) -> CategoryForest:

@@ -1,28 +1,75 @@
 """Local shortest-path primitives over :class:`repro.graphs.generator.Graph`.
 
-Three variants back the paper's machinery:
+Every vertex-graph search in the program runs on one kernel:
 
-* :func:`dijkstra` — single-source distances with optional cutoff / early
-  target termination (the workhorse inside OSR baselines and scoring);
+* :func:`settle` — multi-source Dijkstra as a generator of settled
+  vertices ``(dist, vertex, parent)`` in nondecreasing distance.  The caller
+  decides when to stop (leaving the loop ends the search before the last
+  yielded vertex is relaxed) and ``through`` marks the vertices whose edges
+  are never relaxed (the Lemma 5.5-ii rule of BSSR's modified Dijkstra).
+
+Two thin consumers cover the other callers:
+
+* :func:`dijkstra` — single-source distances with an optional cutoff or
+  early target termination (the workhorse inside OSR baselines, NNinit's
+  destination leg and the Algorithm 4 range filter);
 * :func:`multi_source_to_targets` — the multi-source multi-destination
   Dijkstra of §5.3.3 (Lemma 5.9): all sources enter one priority queue at
   distance 0 and the first settled destination yields the minimum
-  source-set-to-target-set distance;
-* :func:`knn_pois` — a progressive nearest-neighbour generator over a PoI
-  set, the primitive PNE [16] expands routes with.
+  source-set-to-target-set distance.
 
-The distributed counterparts live in ``repro.graphs.sssp_spark``.
+NNinit, BSSR's modified Dijkstra and the ``mapInPandas`` engine of
+``repro.graphs.sssp_spark`` consume :func:`settle` directly.
 """
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.graphs.generator import Graph
 
 INF = float("inf")
+
+
+def settle(
+    graph: Graph,
+    sources: Iterable[int],
+    *,
+    reverse: bool = False,
+    through: Sequence[bool] | bytes | None = None,
+) -> Iterator[tuple[float, int, int]]:
+    """Yield ``(dist, vertex, parent)`` for each vertex in settle order.
+
+    Sources enter at distance 0 with parent ``-1``; ``parent`` is the vertex
+    whose relaxation gave ``dist``.  Ties in ``dist`` settle in vertex-id
+    order.  A vertex ``u`` with ``through[u]`` false is yielded but its
+    edges are not relaxed.  ``reverse`` walks in-edges — distances *to* the
+    sources on a directed graph (no-op on undirected ones).
+    """
+    adj = graph.adjacency(reverse)
+    dist: dict[int, float] = {}
+    heap: list[tuple[float, int, int]] = []
+    for s in sources:
+        s = int(s)
+        if s not in dist:
+            dist[s] = 0.0
+            heap.append((0.0, s, -1))
+    heapq.heapify(heap)
+    pop, push, best = heapq.heappop, heapq.heappush, dist.get
+    while heap:
+        d, u, p = pop(heap)
+        if d > dist[u]:
+            continue  # superseded by a shorter entry already settled
+        yield d, u, p
+        if through is not None and not through[u]:
+            continue
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < best(v, INF):
+                dist[v] = nd
+                push(heap, (nd, v, u))
 
 
 def dijkstra(
@@ -35,38 +82,26 @@ def dijkstra(
 ) -> np.ndarray:
     """Distances from ``source``; vertices beyond ``cutoff`` stay ``inf``.
 
-    If ``targets`` is given, the search stops once every target is settled
-    (distances to other vertices are then only valid below the last settled
-    target's distance).  ``reverse`` walks in-edges instead — distances *to*
-    ``source`` on a directed graph (no-op on undirected ones).
+    Only settled vertices get a finite distance.  If ``targets`` is given,
+    the search stops once every target is settled.  ``reverse`` walks
+    in-edges instead — distances *to* ``source`` on a directed graph
+    (no-op on undirected ones).
     """
-    indptr, indices, weights = graph.csr_reverse() if reverse else graph.csr()
-    dist = np.full(graph.n_vertices, INF)
-    dist[source] = 0.0
     remaining = set(int(t) for t in targets) if targets is not None else None
-    pq: list[tuple[float, int]] = [(0.0, source)]
-    settled = np.zeros(graph.n_vertices, dtype=bool)
-    while pq:
-        d, u = heapq.heappop(pq)
-        if settled[u]:
-            continue
-        settled[u] = True
+    vs: list[int] = []
+    ds: list[float] = []
+    for d, u, _p in settle(graph, (source,), reverse=reverse):
+        if d > cutoff:
+            break
+        vs.append(u)
+        ds.append(d)
         if remaining is not None:
             remaining.discard(u)
             if not remaining:
                 break
-        for i in range(indptr[u], indptr[u + 1]):
-            v = indices[i]
-            nd = d + weights[i]
-            if nd < dist[v] and nd <= cutoff:
-                dist[v] = nd
-                heapq.heappush(pq, (nd, v))
+    dist = np.full(graph.n_vertices, INF)
+    dist[vs] = ds
     return dist
-
-
-def pairwise_distances(graph: Graph, sources: Iterable[int]) -> dict[int, np.ndarray]:
-    """Full distance rows for each source (used by tiny-graph oracles)."""
-    return {int(s): dijkstra(graph, int(s)) for s in sources}
 
 
 def multi_source_to_targets(
@@ -81,64 +116,13 @@ def multi_source_to_targets(
     source-to-target distance.  Returns ``inf`` when unreachable or either
     set is empty.
     """
-    src = [int(s) for s in sources]
     tgt = set(int(t) for t in targets)
-    if not src or not tgt:
+    if not tgt:
         return INF
-    indptr, indices, weights = graph.csr()
-    dist = np.full(graph.n_vertices, INF)
-    pq: list[tuple[float, int]] = []
-    for s in src:
-        dist[s] = 0.0
-        heapq.heappush(pq, (0.0, s))
-    settled = np.zeros(graph.n_vertices, dtype=bool)
-    while pq:
-        d, u = heapq.heappop(pq)
-        if settled[u]:
-            continue
-        settled[u] = True
+    for d, u, _p in settle(graph, sources):
         if u in tgt:
             return d
-        for i in range(indptr[u], indptr[u + 1]):
-            v = indices[i]
-            nd = d + weights[i]
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(pq, (nd, v))
     return INF
-
-
-def knn_pois(
-    graph: Graph,
-    source: int,
-    poi_set: Iterable[int],
-    *,
-    exclude: Iterable[int] = (),
-) -> Iterator[tuple[int, float]]:
-    """Yield ``(poi, dist)`` from ``source`` in nondecreasing distance.
-
-    Lazily advances a Dijkstra frontier; used by PNE to fetch the next
-    nearest matching PoI on demand without bounding k up front.
-    """
-    members = set(int(p) for p in poi_set) - set(int(e) for e in exclude)
-    indptr, indices, weights = graph.csr()
-    dist = np.full(graph.n_vertices, INF)
-    dist[source] = 0.0
-    pq: list[tuple[float, int]] = [(0.0, source)]
-    settled = np.zeros(graph.n_vertices, dtype=bool)
-    while pq:
-        d, u = heapq.heappop(pq)
-        if settled[u]:
-            continue
-        settled[u] = True
-        if u in members:
-            yield u, d
-        for i in range(indptr[u], indptr[u + 1]):
-            v = indices[i]
-            nd = d + weights[i]
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(pq, (nd, v))
 
 
 def floyd_warshall_reference(graph: Graph) -> np.ndarray:

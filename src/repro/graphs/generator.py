@@ -62,6 +62,7 @@ class Graph:
     _csr_rev: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, repr=False
     )
+    _adj: dict[bool, list[list[tuple[int, float]]]] = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------- derived
     @property
@@ -118,6 +119,17 @@ class Graph:
         if self._csr_rev is None:
             self._csr_rev = self._build_csr(self.edges_v, self.edges_u, self.edges_w)
         return self._csr_rev
+
+    def adjacency(self, reverse: bool = False) -> list[list[tuple[int, float]]]:
+        """``adj[u]`` = ``[(v, w), ...]`` in CSR order, as Python ints and
+        floats, built once per graph: the shortest-path kernel's loop reads
+        it without numpy scalar indexing.  ``reverse`` gives in-edges."""
+        key = reverse and self.directed
+        if key not in self._adj:
+            indptr, indices, weights = self.csr_reverse() if key else self.csr()
+            idx, wts, ptr = indices.tolist(), weights.tolist(), indptr.tolist()
+            self._adj[key] = [list(zip(idx[a:b], wts[a:b])) for a, b in zip(ptr, ptr[1:])]
+        return self._adj[key]
 
     # ------------------------------------------------------------- tabular
     def edges_pandas(self) -> pd.DataFrame:

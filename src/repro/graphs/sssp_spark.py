@@ -7,12 +7,14 @@ Two engines, both returning ``(source, vertex, dist)`` rows:
   improves (classic bulk-synchronous Bellman–Ford).  Exact on nonnegative
   weights, O(diameter) rounds; road networks have large diameters, so this
   is the didactic/test engine.
-* :func:`partitioned_dijkstra` — distributes the *sources*: the CSR
-  adjacency is broadcast once and ``mapInPandas`` partitions run a local
-  binary-heap Dijkstra per source, emitting only the requested target
-  vertices.  This is the standard Spark pattern for graph workloads whose
-  graph fits in memory but whose source fan-out is wide, and is the engine
-  the SkySR pipeline uses at benchmark scale (DESIGN.md §deviations-9).
+* :func:`partitioned_dijkstra` — distributes the *sources*: the graph is
+  broadcast once and ``mapInPandas`` partitions run the local
+  ``repro.graphs.dijkstra.settle`` kernel per source, emitting only the
+  requested target vertices.  This is the standard Spark pattern for graph
+  workloads whose graph fits in memory but whose source fan-out is wide,
+  and is the engine the SkySR pipeline uses at benchmark scale (DESIGN.md
+  §deviations-9).  Its workers import ``repro``, so ``src/`` must be on
+  their ``PYTHONPATH``.
 
 Both honour per-source distance cutoffs, which is how the SkySR pipeline's
 branch-and-bound thresholds (Lemma 5.3) reach into the distance layer.
@@ -26,6 +28,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.graphs.dijkstra import settle
 from repro.graphs.generator import Graph
 
 INF = float("inf")
@@ -102,13 +105,13 @@ def partitioned_dijkstra(
     emit_only: np.ndarray | None = None,
     n_partitions: int | None = None,
 ) -> DataFrame:
-    """Sources fan out over partitions; each runs local Dijkstra against the
-    broadcast CSR.  ``emit_only`` (a vertex-id bool mask) restricts output
-    rows — the SkySR pipeline passes the semantic-match mask of the next
-    position so only candidate PoIs cross the wire."""
+    """Sources fan out over partitions; each runs the local ``settle``
+    kernel against the broadcast graph and keeps vertices strictly below
+    its source's cutoff.  ``emit_only`` (a vertex-id bool mask) restricts
+    output rows — the SkySR pipeline passes the semantic-match mask of the
+    next position so only candidate PoIs cross the wire."""
     sc = spark.sparkContext
-    indptr, indices, weights = graph.csr()
-    b_csr = sc.broadcast((indptr, indices, weights))
+    b_graph = sc.broadcast(graph)
     b_emit = sc.broadcast(emit_only)
     cutoffs = cutoffs or {}
     src_pdf = pd.DataFrame(
@@ -121,38 +124,23 @@ def partitioned_dijkstra(
     src_df = spark.createDataFrame(src_pdf).repartition(n_parts, "source")
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        import heapq
-
-        iptr, idx, wts = b_csr.value
+        g = b_graph.value
         emit = b_emit.value
-        n = len(iptr) - 1
         for pdf in batches:
-            for source, cut in zip(pdf["source"].to_numpy(), pdf["cutoff"].to_numpy()):
-                source = int(source)
-                dist = np.full(n, INF)
-                dist[source] = 0.0
-                settled = np.zeros(n, dtype=bool)
-                pq = [(0.0, source)]
-                while pq:
-                    d, u = heapq.heappop(pq)
-                    if settled[u]:
-                        continue
+            for source, cut in zip(pdf["source"].tolist(), pdf["cutoff"].tolist()):
+                vs: list[int] = []
+                ds: list[float] = []
+                for d, u, _p in settle(g, (source,)):
                     if d >= cut:
                         break
-                    settled[u] = True
-                    for j in range(iptr[u], iptr[u + 1]):
-                        v = idx[j]
-                        nd = d + wts[j]
-                        if nd < dist[v] and nd < cut:
-                            dist[v] = nd
-                            heapq.heappush(pq, (nd, int(v)))
-                hit = settled if emit is None else (settled & emit)
-                vs = np.nonzero(hit)[0]
+                    if emit is None or emit[u]:
+                        vs.append(u)
+                        ds.append(d)
                 yield pd.DataFrame(
                     {
                         "source": np.full(len(vs), source, dtype=np.int64),
-                        "vertex": vs.astype(np.int64),
-                        "dist": dist[vs],
+                        "vertex": np.asarray(vs, dtype=np.int64),
+                        "dist": np.asarray(ds, dtype=np.float64),
                     }
                 )
 

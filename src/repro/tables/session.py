@@ -1,8 +1,9 @@
-"""SparkSession factory for the ``jobs/`` entrypoints.
-
-Mirrors the test fixture's session configuration (conftest.py) so job runs
-and test runs exercise the same planner behaviour; under ``spark-submit``
-the master/memory come from the submit invocation instead.
+"""The one SparkSession factory, for the ``jobs/`` entrypoints and the test
+suite's ``spark`` fixture (root ``conftest.py``), so job runs and test runs
+exercise the same planner behaviour.  Driver memory is read at JVM launch,
+so it comes from the launch command (``spark-submit``, or
+``PYSPARK_SUBMIT_ARGS`` in the tests).  Broadcast joins are off so the
+pipeline's joins take the shuffle path at test scale too.
 """
 from __future__ import annotations
 

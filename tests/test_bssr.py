@@ -175,6 +175,45 @@ class TestInstrumentation:
         assert tot["proposed"] <= tot["distance"] * 1.05
 
 
+# Paper counters (Tables 7–8, Fig. 5) of fixed tiny_tokyo queries, recorded
+# from the implementation before the shortest-path kernel was unified.  The
+# last query repeats a tree, so it runs without Lemma 5.5 and the cache.
+_PIN_FIELDS = (
+    "visited_vertices",
+    "mdijkstra_runs",
+    "mdijkstra_requests",
+    "cache_hits",
+    "queue_pushes",
+    "first_weight_sum",
+    "first_radius",
+)
+_PINNED = {
+    "default": {
+        (92, (248, 111, 213)): (937, 10, 16, 6, 16, 30.76432525629885, 1.9895500554533452),
+        (35, (172, 213, 111)): (1277, 15, 18, 3, 31, 31.993138971871904, 1.98272143242719),
+        (45, (111, 213, 172)): (668, 11, 14, 3, 13, 27.02967623068262, 1.4013015905949142),
+        (143, (111, 172, 18, 248)): (1283, 25, 35, 10, 44, 29.83233956515254, 1.9797018587383595),
+        (7, (213, 212)): (54, 4, 4, 0, 3, 3.3318092038321145, 0.5173392520561519),
+    },
+    "none": {
+        (92, (248, 111, 213)): (1615, 16, 16, 0, 19, 30.846644871823493, 2.0134291729290767),
+        (35, (172, 213, 111)): (2317, 19, 19, 0, 41, 31.993138971871904, 1.98272143242719),
+        (45, (111, 213, 172)): (1484, 14, 14, 0, 24, 31.669235777674846, 1.9619321270248449),
+        (143, (111, 172, 18, 248)): (3871, 45, 45, 0, 91, 31.669235777674853, 2.136064965083366),
+        (7, (213, 212)): (475, 4, 4, 0, 12, 32.20290970121377, 2.133998441667303),
+    },
+}
+
+
+class TestPinnedCounters:
+    @pytest.mark.parametrize("opts", ["default", "none"])
+    def test_counters_exactly_unchanged(self, tiny_tokyo, opts):
+        options = BSSROptions() if opts == "default" else BSSROptions.none()
+        for (v_q, cats), want in _PINNED[opts].items():
+            st = bssr(tiny_tokyo.graph, tiny_tokyo.forest, v_q, list(cats), options=options).stats
+            assert tuple(getattr(st, f) for f in _PIN_FIELDS) == want, (v_q, cats)
+
+
 class TestDegenerateQueries:
     def test_single_category(self, random_world_factory):
         g, f, rng = random_world_factory(6)

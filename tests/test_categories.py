@@ -159,12 +159,6 @@ class TestTabular:
         assert list(pdf.cat_id) == list(range(fsq.n_categories))
         assert list(pdf.depth) == fsq.depth
 
-    def test_sim_pandas_matches_python(self, fsq):
-        target = fsq.leaves_of_tree(2)[0]
-        pdf = fsq.sim_pandas(target)
-        for _i, row in pdf.iterrows():
-            assert row["sim"] == pytest.approx(fsq.sim(int(row["cat_id"]), target))
-
     def test_wu_palmer_sql_duckdb_matches_python(self, fsq):
         """The relational Eq. 6 (shared with the Spark pipeline) must agree
         with the direct implementation on every same-tree category."""

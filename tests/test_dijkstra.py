@@ -8,9 +8,8 @@ from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs.dijkstra import (
     dijkstra,
     floyd_warshall_reference,
-    knn_pois,
     multi_source_to_targets,
-    pairwise_distances,
+    settle,
 )
 from repro.graphs.generator import graph_from_edges, road_network
 
@@ -34,6 +33,53 @@ class TestDijkstraVsFloydWarshall:
         for s in range(0, g.n_vertices, 7):
             got = dijkstra(g, s)
             assert np.allclose(got, ref[s], rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_settle_order_distances_and_parents(self, graphs, seed):
+        g = graphs[seed]
+        ref = floyd_warshall_reference(g)
+        adj = g.adjacency()
+        for s in range(0, g.n_vertices, 7):
+            got = list(settle(g, [s]))
+            ds = [d for d, _u, _p in got]
+            assert ds == sorted(ds)
+            dist = {u: d for d, u, _p in got}
+            assert len(dist) == len(got)  # each vertex settles once
+            row = np.full(g.n_vertices, INF)
+            row[list(dist)] = list(dist.values())
+            assert np.allclose(row, ref[s], rtol=1e-9, atol=1e-12)
+            for d, u, p in got:
+                if p < 0:
+                    assert (u, d) == (s, 0.0)
+                else:
+                    assert any(v == u and d == dist[p] + w for v, w in adj[p])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_settle_through_mask(self, graphs, seed):
+        """Masked vertices settle but relax nothing: the distances are those
+        of the graph without the masked vertices' out-edges."""
+        g = graphs[seed]
+        through = np.random.default_rng(seed).random(g.n_vertices) > 0.2
+        through[0] = True
+        adj = g.adjacency()
+        pruned = graph_from_edges(
+            g.n_vertices,
+            [(u, v, w) for u in range(g.n_vertices) if through[u] for v, w in adj[u]],
+            {},
+            directed=True,
+        )
+        want = floyd_warshall_reference(pruned)[0]
+        row = np.full(g.n_vertices, INF)
+        for d, u, p in settle(g, [0], through=through.tobytes()):
+            assert p < 0 or through[p]
+            row[u] = d
+        assert np.allclose(row, want, rtol=1e-9, atol=1e-12)
+        assert not through[np.isfinite(row)].all()  # some masked vertex was yielded
+
+    def test_settle_masked_vertex_blocks_the_path_behind_it(self):
+        g = graph_from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 5.0)], {})
+        got = [(d, u) for d, u, _p in settle(g, [0], through=[True, False, True, True])]
+        assert got == [(0.0, 0), (1.0, 1), (5.0, 3)]
 
     def test_symmetry(self, graphs):
         g = graphs[0]
@@ -88,27 +134,6 @@ class TestMultiSource:
         assert multi_source_to_targets(graphs[0], [4, 5], [5, 9]) == 0.0
 
 
-class TestKnn:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_order_and_completeness(self, graphs, seed):
-        g = graphs[seed]
-        pois = [int(p) for p in g.poi_ids]
-        full = dijkstra(g, 0)
-        got = list(knn_pois(g, 0, pois))
-        dists = [d for _p, d in got]
-        assert dists == sorted(dists)
-        reachable = [p for p in pois if np.isfinite(full[p])]
-        assert {p for p, _d in got} == set(reachable)
-        for p, d in got:
-            assert d == pytest.approx(full[p])
-
-    def test_exclude(self, graphs):
-        g = graphs[0]
-        pois = [int(p) for p in g.poi_ids]
-        got = {p for p, _ in knn_pois(g, 0, pois, exclude=pois[:3])}
-        assert got.isdisjoint(pois[:3])
-
-
 class TestDuckDBOracle:
     def test_recursive_cte_shortest_path(self):
         """Independent SQL shortest path (bounded recursion, tiny graph)
@@ -136,9 +161,3 @@ class TestDuckDBOracle:
         con.close()
         for v, d in got:
             assert d == pytest.approx(want[v])
-
-    def test_pairwise_distances_helper(self):
-        g = graph_from_edges(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0)], {})
-        rows = pairwise_distances(g, [0, 2])
-        assert rows[0][3] == pytest.approx(4.0)
-        assert rows[2][0] == pytest.approx(3.0)
