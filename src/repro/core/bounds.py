@@ -2,10 +2,11 @@
 
 ``l_s[i]`` is the smallest network distance from any PoI semantically
 matching position ``i`` to any PoI semantically matching position ``i+1``;
-``l_p[i]`` targets *perfect* matches of position ``i+1`` instead.  Both are
-computed with the multi-source multi-destination Dijkstra of Lemma 5.9
-(all sources seeded at 0 in one queue; first settled destination is the
-minimum), so each needs a single graph search instead of one per source.
+``l_p[i]`` targets *perfect* matches of position ``i+1`` instead.  Both come
+from the multi-source multi-destination Dijkstra of Lemma 5.9 (all sources
+seeded at 0 in one queue; the first settled destination is the minimum).
+The perfect matches are a subset of the semantic ones, so one search per
+leg yields both minima instead of one search per source.
 
 Algorithm 4 restricts the PoI sets to those within ``l̄(φ)`` of the start
 point (the threshold for a semantic-score-0 route, known after NNinit) —
@@ -22,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.query import QueryContext
-from repro.graphs.dijkstra import dijkstra, multi_source_to_targets
+from repro.graphs.dijkstra import settle, settle_below
+from repro.graphs.dijkstra import dijkstra  # noqa: F401  (perfbench's tracer wraps this module's name)
+from repro.graphs.generator import Graph
 
 INF = float("inf")
 
@@ -47,18 +50,10 @@ class MinDistBounds:
         k = ctx.k
         if k < 2:
             return cls.zeros(k)
-        if np.isfinite(threshold0):
-            d0 = dijkstra(g, ctx.v_q, cutoff=threshold0)
-            in_range = d0 < threshold0
-        else:
-            in_range = np.ones(g.n_vertices, dtype=bool)
+        tree, perfect = _pois_in_range(ctx, threshold0)
         ls_leg, lp_leg = [], []
         for i in range(k - 1):
-            srcs = [p for p in ctx.tree_pois[i] if in_range[p]]
-            sem_tgts = [p for p in ctx.tree_pois[i + 1] if in_range[p]]
-            perf_tgts = [p for p in ctx.perfect_pois[i + 1] if in_range[p]]
-            ls = multi_source_to_targets(g, srcs, sem_tgts)
-            lp = multi_source_to_targets(g, srcs, perf_tgts)
+            ls, lp = _leg_minima(g, tree[i], set(tree[i + 1]), set(perfect[i + 1]))
             # An unreachable leg would make every completion infeasible; keep
             # the bound finite-safe (0 contributes nothing to the sum).
             ls_leg.append(ls if np.isfinite(ls) else 0.0)
@@ -72,6 +67,40 @@ class MinDistBounds:
     def remaining_lp(self, route_size: int) -> float:
         """Min extra length if every remaining match must be perfect."""
         return self.lp_suffix[route_size]
+
+
+def _pois_in_range(ctx: QueryContext, threshold0: float) -> tuple[list[list[int]], list[list[int]]]:
+    """Each position's semantic and perfect matches closer to ``v_q`` than
+    ``threshold0`` (Algorithm 4 lines 3–4).  The range ball is released on
+    return, before the leg searches run."""
+    tree = [ps.tolist() for ps in ctx.tree_pois]
+    perfect = [ps.tolist() for ps in ctx.perfect_pois]
+    if np.isfinite(threshold0):
+        near = settle_below(ctx.graph, ctx.v_q, threshold0)[0]
+        tree = [[p for p in ps if p in near] for ps in tree]
+        perfect = [[p for p in ps if p in near] for ps in perfect]
+    return tree, perfect
+
+
+def _leg_minima(g: Graph, srcs: list[int], sem: set[int], perf: set[int]) -> tuple[float, float]:
+    """``(l_s, l_p)`` of one leg from a single multi-source search (Lemma 5.9).
+
+    ``perf`` is a subset of ``sem``, so the first settled semantic target
+    comes no later than the first perfect one: one settle sequence yields
+    both minima, and the search stops once both are known.
+    """
+    if not sem:
+        return INF, INF
+    ls = INF
+    for d, u, _p in settle(g, srcs):
+        if u in sem:
+            if ls == INF:
+                ls = d
+                if not perf:
+                    break
+            if u in perf:
+                return ls, d
+    return ls, INF
 
 
 def _suffix(leg: list[float], k: int) -> list[float]:

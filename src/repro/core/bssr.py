@@ -39,10 +39,8 @@ from repro.core.nninit import nninit, nninit_ratio, _destination_distances
 from repro.core.query import QueryContext
 from repro.core.scores import PartialRoute
 from repro.graphs.categories import CategoryForest
-from repro.graphs.dijkstra import settle
+from repro.graphs.dijkstra import settle_below
 from repro.graphs.generator import Graph
-
-INF = float("inf")
 
 
 @dataclass
@@ -191,39 +189,27 @@ class _BSSRRun:
     def _scan(self, p_d: int, pos: int, budget: float) -> _CacheEntry:
         """One modified-Dijkstra execution (Algorithm 2), complete for all
         matching PoIs with ``dist < budget`` from ``p_d``."""
-        adj = self.ctx.graph.adjacency()
+        g = self.ctx.graph
         sim = self.ctx.match_sims[pos]
         through = self.through[pos]
-        first_run = self.stats.mdijkstra_runs == 0
-        self.stats.mdijkstra_runs += 1
-
         # passed[u]: best similarity on u's shortest path before u (Lemma 5.5-i).
-        passed: dict[int, float] = {}
-        cands: list[tuple[float, int, float]] = []
-        radius = INF
-        weight_sum = 0.0
-        max_d = 0.0
-        for d, u, parent in settle(self.ctx.graph, (p_d,), through=through):
-            if d >= budget:
-                radius = d  # complete below d; candidates at >= d not emitted
-                break
-            self.stats.visited_vertices += 1
-            max_d = d
-            sim_u = sim.get(u, 0.0)
-            if through is None:
-                if sim_u > 0.0:
-                    cands.append((d, u, sim_u))
-            else:
-                passed_u = max(passed[parent], sim.get(parent, 0.0)) if parent >= 0 else 0.0
-                passed[u] = passed_u
-                if sim_u > passed_u:
-                    cands.append((d, u, sim_u))
-            if first_run and (through is None or through[u]):
-                for _v, w in adj[u]:
-                    weight_sum += w
-        if first_run:
+        dist, radius, passed = settle_below(g, p_d, budget, through=through, marks=sim)
+        self.stats.visited_vertices += len(dist)
+        cands = sorted(
+            (dist[u], u, sim[u]) for u, before in passed.items() if through is None or sim[u] > before
+        )
+        if self.stats.mdijkstra_runs == 0:
+            # Table 7: edge weights scanned, summed in settle order.
+            adj = g.adjacency()
+            weight_sum = 0.0
+            order = sorted(sorted(dist), key=dist.__getitem__)  # stable: by (dist, vertex)
+            for u in order:
+                if through is None or through[u]:
+                    for _v, w in adj[u]:
+                        weight_sum += w
             self.stats.first_weight_sum = weight_sum
-            self.stats.first_radius = max_d
+            self.stats.first_radius = max(dist.values(), default=0.0)
+        self.stats.mdijkstra_runs += 1
         return _CacheEntry(cands, radius)
 
     def _candidates(self, p_d: int, pos: int, budget: float) -> list[tuple[float, int, float]]:

@@ -1,24 +1,34 @@
 """Local shortest-path primitives over :class:`repro.graphs.generator.Graph`.
 
-Every vertex-graph search in the program runs on one kernel:
+Every vertex-graph search in the program runs on one of two kernels:
 
 * :func:`settle` — multi-source Dijkstra as a generator of settled
-  vertices ``(dist, vertex, parent)`` in nondecreasing distance.  The caller
-  decides when to stop (leaving the loop ends the search before the last
-  yielded vertex is relaxed) and ``through`` marks the vertices whose edges
-  are never relaxed (the Lemma 5.5-ii rule of BSSR's modified Dijkstra).
+  vertices ``(dist, vertex, parent)`` in nondecreasing distance.  It serves
+  the searches that need settle order or stop early: the caller decides
+  when to stop (leaving the loop ends the search before the last yielded
+  vertex is relaxed) and ``through`` marks the vertices whose edges are
+  never relaxed (the Lemma 5.5-ii rule of BSSR's modified Dijkstra).
+* :func:`settle_below` — the whole ball below a distance budget, from one
+  source.  It serves the budgeted searches that need every distance in the
+  ball but no order: BSSR's modified Dijkstra and the Algorithm 4 range
+  filter.  Its heap holds only the core vertices of ``Graph.chains()``;
+  degree-2 chains and dead-end branches are walked edge by edge, with the
+  same stepwise sums, ties, ``through`` rule and stop value as
+  :func:`settle`.
 
-Two thin consumers cover the other callers:
+Two thin consumers of :func:`settle` cover the other callers:
 
-* :func:`dijkstra` — single-source distances with an optional cutoff or
-  early target termination (the workhorse inside OSR baselines, NNinit's
-  destination leg and the Algorithm 4 range filter);
+* :func:`dijkstra` — single-source distances with optional early target
+  termination (the workhorse inside OSR baselines, route scoring and
+  NNinit's destination leg);
 * :func:`multi_source_to_targets` — the multi-source multi-destination
-  Dijkstra of §5.3.3 (Lemma 5.9): all sources enter one priority queue at
-  distance 0 and the first settled destination yields the minimum
-  source-set-to-target-set distance.
+  Dijkstra of §5.3.3 (Lemma 5.9) for one target set: all sources enter one
+  priority queue at distance 0 and the first settled destination yields the
+  minimum source-set-to-target-set distance.  The tests use it as the
+  reference for ``repro.core.bounds``, which gets both minima of a leg from
+  one such search.
 
-NNinit, BSSR's modified Dijkstra and the ``mapInPandas`` engine of
+NNinit, the Algorithm 4 leg minima and the ``mapInPandas`` engine of
 ``repro.graphs.sssp_spark`` consume :func:`settle` directly.
 """
 from __future__ import annotations
@@ -72,15 +82,115 @@ def settle(
                 push(heap, (nd, v, u))
 
 
+def settle_below(
+    graph: Graph,
+    source: int,
+    budget: float,
+    *,
+    through: Sequence[bool] | bytes | None = None,
+    marks: dict[int, float] | None = None,
+) -> tuple[dict[int, float], float, dict[int, float]]:
+    """Every vertex closer to ``source`` than ``budget``, in one search.
+
+    Returns ``(dist, radius, passed)``, exactly what :func:`settle` gives
+    when stopped at its first ``dist >= budget``:
+
+    * ``dist`` — vertex -> distance for every vertex settled below
+      ``budget``;
+    * ``radius`` — the smallest tentative distance ``>= budget`` (the value
+      :func:`settle` stops at; ``inf`` when the ball is the whole
+      component);
+    * ``passed`` — for each settled vertex in ``marks``, the largest mark
+      strictly before it on its settle-order shortest path (``0.0`` if
+      none), where among tied relaxers the one with the smallest
+      ``(dist, vertex)`` is the parent, as in :func:`settle`.
+
+    A vertex ``u`` with ``through[u]`` false is reached but never walked
+    past.  Only core vertices of ``graph.chains()`` enter the heap; the
+    chains between them are walked with stepwise sums, so every distance is
+    bit-identical to :func:`settle`'s.
+    """
+    if budget <= 0.0:
+        return {}, 0.0, {}
+    source = int(source)
+    chains, adj = graph.chains(), graph.adjacency()
+    marks = marks or {}
+    dist: dict[int, float] = {source: 0.0}
+    via: dict[int, tuple[int, float]] = {source: (-1, 0.0)}  # core vertex -> (parent, passed)
+    passed: dict[int, float] = {}
+    over: dict[int, float] = {}  # vertex -> smallest tentative distance >= budget
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    source_walks = graph.walks_from(source)
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        d, u = pop(heap)
+        if d > dist[u]:
+            continue  # superseded by a shorter entry already settled
+        pm = via[u][1]
+        if u in marks:
+            passed[u] = pm
+            m = marks[u]
+            if m > pm:
+                pm = m
+        if through is not None and not through[u]:
+            continue
+        for steps, end in source_walks if u == source else chains[u]:
+            nd, p, qm = d, u, pm
+            for v, w in steps:
+                nd += w
+                if nd >= budget:
+                    if nd < over.get(v, INF):
+                        over[v] = nd
+                    break
+                old = dist.get(v, INF)
+                if nd >= old:
+                    # Reached at least as short from the chain's other side;
+                    # on a tie the smaller (dist, vertex) relaxer is the parent.
+                    if nd == old and v in marks and len(adj[v]) == 2:
+                        a, b = adj[v]
+                        q = b[0] if a[0] == p and a[1] == w else a[0]
+                        if (dist[p], p) < (dist[q], q):
+                            passed[v] = qm
+                    break
+                dist[v] = nd
+                if v in marks:
+                    passed[v] = qm
+                    m = marks[v]
+                    if m > qm:
+                        qm = m
+                if through is not None and not through[v]:
+                    break
+                p = v
+            else:
+                if end is None:
+                    continue  # dead end
+                v, w = end
+                nd += w
+                if nd >= budget:
+                    if nd < over.get(v, INF):
+                        over[v] = nd
+                    continue
+                old = dist.get(v, INF)
+                if nd < old:
+                    dist[v] = nd
+                    via[v] = (p, qm)
+                    push(heap, (nd, v))
+                elif nd == old:
+                    q = via[v][0]
+                    if (dist[p], p) < (dist[q], q):
+                        via[v] = (p, qm)
+    radius = min((r for v, r in over.items() if v not in dist), default=INF)
+    return dist, radius, passed
+
+
 def dijkstra(
     graph: Graph,
     source: int,
     *,
-    cutoff: float = INF,
     targets: Iterable[int] | None = None,
     reverse: bool = False,
 ) -> np.ndarray:
-    """Distances from ``source``; vertices beyond ``cutoff`` stay ``inf``.
+    """Distances from ``source``; unreached vertices stay ``inf``.
 
     Only settled vertices get a finite distance.  If ``targets`` is given,
     the search stops once every target is settled.  ``reverse`` walks
@@ -91,8 +201,6 @@ def dijkstra(
     vs: list[int] = []
     ds: list[float] = []
     for d, u, _p in settle(graph, (source,), reverse=reverse):
-        if d > cutoff:
-            break
         vs.append(u)
         ds.append(d)
         if remaining is not None:

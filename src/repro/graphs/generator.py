@@ -63,6 +63,7 @@ class Graph:
         default=None, repr=False
     )
     _adj: dict[bool, list[list[tuple[int, float]]]] = field(default_factory=dict, repr=False)
+    _chains: list | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------- derived
     @property
@@ -131,6 +132,47 @@ class Graph:
             self._adj[key] = [list(zip(idx[a:b], wts[a:b])) for a, b in zip(ptr, ptr[1:])]
         return self._adj[key]
 
+    def chains(self) -> list[tuple[Chain, ...] | None]:
+        """Degree-2 chain index of the forward adjacency, built once per graph.
+
+        Core vertices are those of degree 0 or >= 3, plus one promoted vertex
+        (the smallest id) per component that has none.  ``chains[c]`` holds,
+        for each adjacency entry of core vertex ``c``, the walk out along it:
+        ``(steps, end)``, where ``steps`` are the ``(v, w)`` entries through
+        degree-2 vertices (ending at a dead-end leaf, if any) and ``end`` is
+        the entry into the next core vertex, or ``None`` after a leaf.  The
+        entries are the ``adjacency()`` tuples themselves.  Non-core vertices
+        map to ``None``.  On directed graphs every vertex is core.
+        """
+        if self._chains is None:
+            adj = self.adjacency()
+            chains: list = [() if self.directed or len(row) not in (1, 2) else None for row in adj]
+            covered = bytearray(self.n_vertices)
+
+            def walk_out(c: int) -> None:
+                chains[c] = tuple(_walk(adj, chains, c, e) for e in adj[c])
+                for steps, _end in chains[c]:
+                    for v, _w in steps:
+                        covered[v] = 1
+
+            for c in [c for c, ch in enumerate(chains) if ch is not None]:
+                walk_out(c)
+            for c in range(self.n_vertices):
+                if chains[c] is None and not covered[c]:
+                    chains[c] = ()  # promoted: its component has no core vertex
+                    walk_out(c)
+            self._chains = chains
+        return self._chains
+
+    def walks_from(self, u: int) -> tuple[Chain, ...]:
+        """The chain walks out of any vertex ``u``: the cached ones for a
+        core vertex, walked on demand for a degree-1 or degree-2 one."""
+        chains = self.chains()
+        if chains[u] is not None:
+            return chains[u]
+        adj = self.adjacency()
+        return tuple(_walk(adj, chains, u, e) for e in adj[u])
+
     # ------------------------------------------------------------- tabular
     def edges_pandas(self) -> pd.DataFrame:
         """Undirected edge list ``(src, dst, w)`` — one row per edge."""
@@ -147,6 +189,27 @@ class Graph:
         return pd.DataFrame(
             {"poi_id": ids.astype(np.int64), "cat_id": self.cat_of[ids].astype(np.int64)}
         )
+
+
+Chain = tuple[tuple[tuple[int, float], ...], tuple[int, float] | None]
+
+
+def _walk(adj: list[list[tuple[int, float]]], chains: list, u: int, e: tuple[int, float]) -> Chain:
+    """Follow adjacency entry ``e`` out of ``u`` through non-core vertices
+    until a core vertex (returned as ``end``) or a dead-end leaf."""
+    steps = []
+    p = u
+    while True:
+        v, w = e
+        if chains[v] is not None:
+            return tuple(steps), e
+        steps.append(e)
+        row = adj[v]
+        if len(row) == 1:
+            return tuple(steps), None
+        a, b = row
+        e = b if a[0] == p and a[1] == w else a  # leave v by its other edge
+        p = v
 
 
 # ------------------------------------------------------------------ builder

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.bounds import MinDistBounds
 from repro.core.query import QueryContext
-from repro.graphs.dijkstra import floyd_warshall_reference
+from repro.graphs.dijkstra import dijkstra, floyd_warshall_reference, multi_source_to_targets
 from tests.conftest import random_query
 
 INF = float("inf")
@@ -78,6 +78,28 @@ class TestSuffixSums:
         vals = [b.remaining_ls(m) for m in range(ctx.k + 1)]
         assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(len(vals) - 1))
         assert vals[-1] == 0.0
+
+
+class TestOnePassLegs:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_equals_two_multi_source_calls(self, random_world_factory, seed, size):
+        """One settle loop per leg gives exactly the l_s and l_p of two
+        separate Lemma 5.9 searches, with and without the Algorithm 4 range
+        filter."""
+        g, f, rng = random_world_factory(seed)
+        v_q, cats = random_query(g, f, rng, size)
+        ctx = QueryContext(g, f, v_q, cats)
+        d0 = dijkstra(g, v_q)
+        for threshold0 in (INF, float(np.quantile(d0, 0.6)), float(np.quantile(d0, 0.2))):
+            in_range = d0 < threshold0
+            b = MinDistBounds.compute(ctx, threshold0)
+            for i in range(ctx.k - 1):
+                srcs = [p for p in ctx.tree_pois[i] if in_range[p]]
+                ls = multi_source_to_targets(g, srcs, [p for p in ctx.tree_pois[i + 1] if in_range[p]])
+                lp = multi_source_to_targets(g, srcs, [p for p in ctx.perfect_pois[i + 1] if in_range[p]])
+                assert b.ls_leg[i] == (ls if np.isfinite(ls) else 0.0)
+                assert b.lp_leg[i] == (lp if np.isfinite(lp) else 0.0)
 
 
 class TestThresholdRestriction:

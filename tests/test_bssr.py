@@ -204,6 +204,29 @@ _PINNED = {
     },
 }
 
+# The same counters on tiny_cal, where 88 % of the vertices have degree 2
+# (long chains between few core vertices), recorded from the settle-order
+# scan before the chain-compressed search replaced it.  The fifth query
+# repeats a tree.
+_PINNED_CAL = {
+    "default": {
+        (13, (511, 164, 336)): (432, 5, 5, 0, 4, 14.476616311398239, 2.359337493627723),
+        (16, (252, 36, 20)): (159, 4, 4, 0, 3, 9.67153151103479, 1.0280341463492855),
+        (13, (252, 336, 154)): (129, 3, 3, 0, 2, 8.682177562701527, 1.5690971593933314),
+        (15, (434, 154, 20)): (168, 6, 7, 1, 6, 1.3681578573319102, 0.6484084090186163),
+        (14, (511, 164, 511)): (470, 11, 11, 0, 11, 1.041054200282354, 0.20711862071190493),
+        (15, (336, 164)): (107, 2, 2, 0, 1, 3.3294630740892215, 0.5945651641799573),
+    },
+    "none": {
+        (13, (511, 164, 336)): (436, 5, 5, 0, 6, 14.476616311398239, 2.359337493627723),
+        (16, (252, 36, 20)): (247, 4, 4, 0, 3, 13.120828524389498, 1.5169862821373523),
+        (13, (252, 336, 154)): (230, 3, 3, 0, 4, 13.12082852438952, 2.359337493627723),
+        (15, (434, 154, 20)): (459, 7, 7, 0, 7, 1.3681578573319102, 0.6484084090186163),
+        (14, (511, 164, 511)): (2011, 15, 15, 0, 22, 14.485666661905977, 2.236084431320878),
+        (15, (336, 164)): (247, 2, 2, 0, 3, 14.289110062021589, 1.7935960557671002),
+    },
+}
+
 
 class TestPinnedCounters:
     @pytest.mark.parametrize("opts", ["default", "none"])
@@ -211,6 +234,13 @@ class TestPinnedCounters:
         options = BSSROptions() if opts == "default" else BSSROptions.none()
         for (v_q, cats), want in _PINNED[opts].items():
             st = bssr(tiny_tokyo.graph, tiny_tokyo.forest, v_q, list(cats), options=options).stats
+            assert tuple(getattr(st, f) for f in _PIN_FIELDS) == want, (v_q, cats)
+
+    @pytest.mark.parametrize("opts", ["default", "none"])
+    def test_counters_on_long_chains(self, tiny_cal, opts):
+        options = BSSROptions() if opts == "default" else BSSROptions.none()
+        for (v_q, cats), want in _PINNED_CAL[opts].items():
+            st = bssr(tiny_cal.graph, tiny_cal.forest, v_q, list(cats), options=options).stats
             assert tuple(getattr(st, f) for f in _PIN_FIELDS) == want, (v_q, cats)
 
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs.dijkstra import (
@@ -10,6 +12,7 @@ from repro.graphs.dijkstra import (
     floyd_warshall_reference,
     multi_source_to_targets,
     settle,
+    settle_below,
 )
 from repro.graphs.generator import graph_from_edges, road_network
 
@@ -96,10 +99,13 @@ class TestCutoffAndTargets:
         g = graphs[1]
         full = dijkstra(g, 0)
         cut = float(np.median(full[np.isfinite(full)]))
-        limited = dijkstra(g, 0, cutoff=cut)
-        near = full <= cut
-        assert np.allclose(limited[near], full[near])
+        dist, radius, _passed = settle_below(g, 0, cut)
+        limited = np.full(g.n_vertices, INF)
+        limited[list(dist)] = list(dist.values())
+        near = full < cut
+        assert np.array_equal(limited[near], full[near])
         assert np.isinf(limited[~near]).all()
+        assert radius == full[~near].min()
 
     def test_targets_early_stop_exact_on_targets(self, graphs):
         g = graphs[2]
@@ -112,6 +118,102 @@ class TestCutoffAndTargets:
     def test_disconnected_target(self):
         g = graph_from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)], {})
         assert np.isinf(dijkstra(g, 0)[2])
+
+
+def _scan_reference(g, source, budget, through, marks):
+    """BSSR's settle-order modified Dijkstra, stopped at its first
+    ``dist >= budget``: distances, stop value and Lemma 5.5-i ``passed``."""
+    dist, passed, radius = {}, {}, INF
+    for d, u, parent in settle(g, (source,), through=through):
+        if d >= budget:
+            radius = d
+            break
+        dist[u] = d
+        passed[u] = max(passed[parent], marks.get(parent, 0.0)) if parent >= 0 else 0.0
+    return dist, radius, {u: b for u, b in passed.items() if u in marks}
+
+
+def _assert_matches_reference(g, marks, through):
+    """Every source (core, chain interior, leaf) at every budget that equals
+    some vertex's distance, and at ``inf``."""
+    for s in range(g.n_vertices):
+        budgets = sorted({d for d, _u, _p in settle(g, (s,))}) + [INF]
+        for budget in budgets:
+            want = _scan_reference(g, s, budget, through, marks)
+            assert settle_below(g, s, budget, through=through, marks=marks) == want, (s, budget)
+
+
+@st.composite
+def _small_worlds(draw):
+    """Small multigraphs with weights 1-3, so ties are everywhere, plus a
+    core-less path or cycle component and isolated vertices; a quarter of
+    them directed.  Returns ``(graph, marks, through)``."""
+    n = draw(st.integers(1, 10))
+    weight = st.integers(1, 3)
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight), max_size=2 * n))
+    k = draw(st.integers(0, 6))
+    ws = draw(st.lists(weight, min_size=k, max_size=k))
+    edges += [(n + i, n + i + 1, ws[i]) for i in range(k - 1)]
+    if k >= 2 and draw(st.booleans()):
+        edges.append((n + k - 1, n, ws[-1]))  # close the path into a cycle
+    n_total = n + k + draw(st.integers(0, 2))
+    directed = draw(st.integers(0, 3)) == 0
+    g = graph_from_edges(n_total, [(u, v, float(w)) for u, v, w in edges], {}, directed=directed)
+    marks = draw(st.dictionaries(st.integers(0, n_total - 1), st.sampled_from([0.25, 0.5, 1.0])))
+    mask = draw(st.sampled_from(["none", "perfect", "random"]))
+    if mask == "none":
+        through = None
+    elif mask == "perfect":
+        through = bytes(marks.get(v) != 1.0 for v in range(n_total))
+    else:
+        through = bytes(draw(st.lists(st.booleans(), min_size=n_total, max_size=n_total)))
+    return g, marks, through
+
+
+class TestSettleBelow:
+    """The chain-compressed budgeted search against the settle-order scan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_small_worlds())
+    def test_matches_settle_reference(self, world):
+        _assert_matches_reference(*world)
+
+    @pytest.mark.parametrize("through", ["none", "perfect"])
+    def test_every_chain_shape(self, through):
+        """One hand-built graph with every shape: core vertices joined by a
+        chain and by a direct edge, parallel edges, a dead-end branch, a
+        core-less cycle, a core-less path and an isolated vertex."""
+        edges = [
+            (0, 1, 1.0), (0, 2, 2.0), (0, 3, 1.0),  # 0 and 3 are core
+            (1, 4, 1.0), (4, 3, 2.0),  # chain 0-1-4-3
+            (2, 5, 1.0), (5, 6, 1.0),  # dead-end branch 0-2-5-6
+            (3, 7, 1.0), (3, 7, 1.0), (3, 8, 2.0), (8, 9, 1.0), (9, 3, 1.0),  # parallel edges, loop at 3
+            (10, 11, 1.0), (11, 12, 2.0), (12, 10, 1.0),  # core-less cycle
+            (13, 14, 2.0), (14, 15, 1.0),  # core-less path
+        ]
+        g = graph_from_edges(17, edges, {})
+        marks = {1: 0.5, 4: 1.0, 5: 1.0, 6: 0.25, 7: 0.5, 9: 1.0, 11: 1.0, 12: 0.5, 14: 1.0, 15: 0.25}
+        mask = bytes(marks.get(v) != 1.0 for v in range(17)) if through == "perfect" else None
+        _assert_matches_reference(g, marks, mask)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_small_worlds())
+    def test_chain_index_shape(self, world):
+        g = world[0]
+        adj, chains = g.adjacency(), g.chains()
+        core = {u for u, c in enumerate(chains) if c is not None}
+        if g.directed:
+            assert core == set(range(g.n_vertices))
+        assert {u for u, row in enumerate(adj) if len(row) not in (1, 2)} <= core
+        covered = set(core)
+        for c in core:
+            assert len(chains[c]) == len(adj[c])
+            for (steps, end), first in zip(chains[c], adj[c]):
+                assert (steps[0] if steps else end) is first  # the adjacency's own tuples
+                assert all(v not in core for v, _w in steps)
+                assert end is None and len(adj[steps[-1][0]]) == 1 or end[0] in core
+                covered.update(v for v, _w in steps)
+        assert covered == set(range(g.n_vertices))
 
 
 class TestMultiSource:
