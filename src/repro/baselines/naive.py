@@ -37,13 +37,12 @@ def subtree_match_set(graph: Graph, forest: CategoryForest, anc: int) -> np.ndar
     """PoIs associated with ``anc`` — i.e. whose category has ``anc`` as an
     ancestor (including itself)."""
     ok = np.zeros(forest.n_categories, dtype=bool)
-    for c in range(forest.n_categories):
-        if anc in forest.ancestors(c):
-            ok[c] = True
-    mask = graph.cat_of >= 0
-    out = np.zeros(graph.n_vertices, dtype=bool)
-    out[mask] = ok[graph.cat_of[mask]]
-    return np.nonzero(out)[0]
+    stack = [anc]
+    while stack:
+        c = stack.pop()
+        ok[c] = True
+        stack.extend(forest.children(c))
+    return np.flatnonzero((graph.cat_of >= 0) & ok[graph.cat_of])
 
 
 def naive_skysr(
@@ -60,6 +59,8 @@ def naive_skysr(
 
     Returns ``(l, s, route)`` rows like :func:`repro.core.bssr.bssr`.
     """
+    if engine not in ("dijkstra", "pne"):
+        raise ValueError(f"unknown OSR engine {engine!r}; expected 'dijkstra' or 'pne'")
     ctx = QueryContext(graph, forest, v_q, seq_cats, destination)
     osr: Callable = osr_dijkstra if engine == "dijkstra" else osr_pne
     match_cache: dict[int, np.ndarray] = {}

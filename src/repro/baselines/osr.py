@@ -11,9 +11,12 @@ benchmarks SkySR against "iteratively find OSRs" with each:
 * :func:`osr_pne` (**PNE**) — Progressive Neighbor Exploration: expanding a
   route fetches only the *next nearest* matching PoI, and re-pushes the
   route so its following neighbour can be fetched later, keeping the queue
-  small.  Neighbour lists are materialized per (endpoint, position) with a
-  transient target-bounded Dijkstra, so retained memory stays tuple-sized
-  (the paper's PNE footprint).
+  small.  Each (endpoint, position) neighbour list is a lazy prefix of the
+  matching PoIs in settle order: it grows, by doubling, only when PNE asks
+  for a rank past its end, and each growth runs one transient
+  :func:`~repro.graphs.dijkstra.settle` search that stops at the prefix's
+  new length.  Only the ``(poi, dist)`` tuples are kept, so retained memory
+  stays tuple-sized (the paper's PNE footprint).
 
 Both take per-position PoI match sets, so the naive SkySR baseline can feed
 them the subtree-closure sets of each super-category sequence.
@@ -31,10 +34,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.graphs.dijkstra import dijkstra
+from repro.graphs.dijkstra import settle
+from repro.graphs.dijkstra import dijkstra  # noqa: F401  (perfbench's tracer wraps this module's name)
 from repro.graphs.generator import Graph
-
-INF = float("inf")
 
 
 def _match_trees_distinct(match_sets: Sequence[np.ndarray]) -> bool:
@@ -104,22 +106,32 @@ def osr_pne(
     if any(len(m) == 0 for m in match_sets):
         return None
 
-    # Sorted neighbour lists per (source, position), computed on first
-    # access by one target-bounded Dijkstra whose arrays are transient —
-    # keeping PNE's retained footprint to small tuple lists (the paper's
-    # PNE memory profile) instead of live resumable search state.
+    # Per (source, position): the matching PoIs nearest the source as
+    # (poi, dist) in settle order, which on positive weights is the
+    # (dist, vertex) order of the whole list sorted by distance.  A list is
+    # a prefix until its key is in `complete`.  Asking past its end reruns
+    # one transient settle search that keeps max(n + 1, 2 * len) matches, so
+    # lists grow by doubling and no search state outlives the call: PNE
+    # keeps only small tuple lists (the paper's PNE memory profile).  Settle
+    # order is deterministic, so a regrown list extends the old one and PNE
+    # explores exactly as it would over complete lists.
+    members = [frozenset(int(p) for p in m) for m in match_sets]
     nn_lists: dict[tuple[int, int], list[tuple[int, float]]] = {}
+    complete: set[tuple[int, int]] = set()
 
     def nth_neighbour(src: int, pos: int, n: int) -> tuple[int, float] | None:
         key = (src, pos)
-        lst = nn_lists.get(key)
-        if lst is None:
-            members = [int(p) for p in match_sets[pos]]
-            d = dijkstra(graph, src, targets=members)
-            lst = sorted(
-                ((int(p), float(d[p])) for p in members if np.isfinite(d[p])),
-                key=lambda t: t[1],
-            )
+        lst = nn_lists.get(key, [])
+        if n >= len(lst) and key not in complete:
+            want, match = max(n + 1, 2 * len(lst)), members[pos]
+            lst = []
+            for d, u, _p in settle(graph, (src,)):
+                if u in match:
+                    lst.append((u, d))
+                    if len(lst) == want:
+                        break
+            else:
+                complete.add(key)  # the source's component ran out
             nn_lists[key] = lst
         return lst[n] if n < len(lst) else None
 

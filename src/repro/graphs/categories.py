@@ -45,6 +45,7 @@ class CategoryForest:
     depth: list[int]
     name: list[str]
     _anc_cache: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
+    _kids: list[list[int]] | None = field(default=None, repr=False)
 
     # ---------------------------------------------------------------- basics
     @property
@@ -66,7 +67,13 @@ class CategoryForest:
         return out
 
     def children(self, c: int) -> list[int]:
-        return [i for i, p in enumerate(self.parent) if p == c]
+        if self._kids is None:
+            kids: list[list[int]] = [[] for _ in self.parent]
+            for i, p in enumerate(self.parent):
+                if p != -1:
+                    kids[p].append(i)
+            self._kids = kids
+        return list(self._kids[c])
 
     def leaves(self) -> list[int]:
         has_child = [False] * self.n_categories
