@@ -25,14 +25,11 @@ def test_local_engines(benchmark, bench_world_small, bench_queries_small, algo, 
     benchmark.extra_info["n_skysr"] = n
 
 
-@pytest.mark.parametrize("engine", ["partitioned", "bellman"])
-def test_spark_pipeline(benchmark, spark, bench_queries_small, bench_world_small, engine):
+def test_spark_pipeline(benchmark, spark, bench_queries_small, bench_world_small):
     ds = bench_world_small
     q = bench_queries_small[2][0]
     rows = benchmark.pedantic(
-        lambda: skysr_spark(
-            spark, ds.graph, ds.forest, q.v_q, list(q.seq_cats), engine=engine
-        ).collect(),
+        lambda: skysr_spark(spark, ds.graph, ds.forest, q.v_q, list(q.seq_cats)).collect(),
         rounds=1,
         iterations=1,
     )

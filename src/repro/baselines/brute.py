@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from repro.core.dominance import skyline
+from repro.core.dominance import score_key, skyline
 from repro.core.query import QueryContext
 from repro.core.scores import semantic_score
 from repro.graphs.categories import CategoryForest
@@ -65,4 +65,4 @@ def brute_force_skysr(
 
 def score_set(rows: list[tuple[float, float, tuple[int, ...]]]) -> set[tuple[float, float]]:
     """Rounded (l, s) pairs — the equivalence-robust comparison key."""
-    return {(round(l, 9), round(s, 9)) for (l, s, _r) in rows}
+    return {score_key(l, s) for (l, s, _r) in rows}

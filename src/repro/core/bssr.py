@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass
 
 from repro.core.bounds import MinDistBounds
-from repro.core.dominance import SkylineSet
+from repro.core.dominance import SkylineSet, score_key
 from repro.core.nninit import nninit, nninit_ratio, _destination_distances
 from repro.core.query import QueryContext
 from repro.core.scores import PartialRoute
@@ -84,7 +84,7 @@ class BSSRResult:
     stats: BSSRStats
 
     def score_set(self) -> set[tuple[float, float]]:
-        return {(round(l, 9), round(s, 9)) for (l, s, _r) in self.routes}
+        return {score_key(l, s) for (l, s, _r) in self.routes}
 
 
 def bssr(

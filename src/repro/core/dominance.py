@@ -18,6 +18,12 @@ INF = float("inf")
 _EPS = 1e-12  # score-equality tolerance for float legs summed in different orders
 
 
+def score_key(l: float, s: float) -> tuple[float, float]:
+    """``(l, s)`` rounded to 9 digits: the key under which engines' score
+    sets are compared, robust to float legs summed in different orders."""
+    return (round(l, 9), round(s, 9))
+
+
 def dominates(a: tuple[float, float], b: tuple[float, float]) -> bool:
     """True iff score pair ``a=(l,s)`` dominates ``b`` per Def. 4.1."""
     la, sa = a

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.query import QueryContext
 from repro.graphs.categories import CategoryForest
 from repro.graphs.dijkstra import dijkstra
 from repro.graphs.generator import Graph
@@ -64,16 +65,19 @@ def route_scores(
     route: tuple[int, ...],
 ) -> tuple[float, float]:
     """Recompute ``(l(R), s(R))`` from scratch — the slow, obviously-correct
-    path used by tests and the brute-force oracle (never by BSSR itself)."""
+    path used by tests (never by BSSR itself).  Similarities come from
+    :class:`QueryContext`, so a §6 multi-category PoI scores through its
+    best category, as in every engine."""
     if len(route) != len(seq_cats):
         raise ValueError("route and category sequence sizes differ (Def. 3.4-i)")
+    ctx = QueryContext(graph, forest, v_q, list(seq_cats))
     total = 0.0
     prev = v_q
     prod = 1.0
-    for poi, cat in zip(route, seq_cats):
+    for pos, poi in enumerate(route):
         d = dijkstra(graph, prev, targets=[poi])[poi]
         total += float(d)
-        prod *= forest.sim(int(graph.cat_of[poi]), cat)
+        prod *= ctx.sim_at(pos, poi)
         prev = poi
     return total, semantic_score(prod)
 
@@ -81,13 +85,13 @@ def route_scores(
 def is_sequenced_route(
     graph: Graph, forest: CategoryForest, seq_cats: list[int], route: tuple[int, ...]
 ) -> bool:
-    """Def. 3.4: right size, per-position semantic match, all PoIs distinct."""
+    """Def. 3.4: right size, per-position semantic match (through any of a
+    PoI's categories, as :class:`QueryContext` defines it), all PoIs
+    distinct."""
     if len(route) != len(seq_cats):
         return False
     if len(set(route)) != len(route):
         return False
-    for poi, cat in zip(route, seq_cats):
-        c = int(graph.cat_of[poi])
-        if c < 0 or not forest.same_tree(c, cat):
-            return False
-    return True
+    # Matching does not depend on the start point; any vertex serves as v_q.
+    ctx = QueryContext(graph, forest, 0, list(seq_cats))
+    return all(ctx.sim_at(pos, poi) > 0 for pos, poi in enumerate(route))

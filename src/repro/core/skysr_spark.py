@@ -3,22 +3,28 @@ pipeline (the ``repro`` band's target mapping).
 
 One level per category position, bulk-synchronously:
 
-1. **semantic hierarchy filter** — the PoIs matching position ``i`` are
-   derived relationally: Wu–Palmer similarities from the ancestor-closure
-   table (`similarity_df`, same SQL the DuckDB oracle runs) joined onto the
-   PoI table;
+1. **semantic hierarchy filter** — the PoIs matching position ``i`` and
+   their similarities are read from the query's
+   :class:`~repro.core.query.QueryContext` (``match_sims[i]``), the same
+   definition local BSSR and brute force use, so a §6 multi-category PoI
+   matches through its best category here too.  They become the distance
+   engine's ``emit_only`` mask and a small ``(vertex, sim)`` frame;
 2. **distance join** — multi-source shortest paths from the frontier's
-   endpoint PoIs to the next position's matches, via either Spark SSSP
-   engine (`repro.graphs.sssp_spark`), with per-source cutoffs derived from
-   the branch-and-bound thresholds;
+   endpoint PoIs to the position's matches (`repro.graphs.sssp_spark`),
+   with per-source cutoffs derived from the branch-and-bound thresholds;
 3. **prune** — the Lemma 5.3 threshold rule (tightened by the Def. 5.7
-   semantic-match minimum distances) applied as a ``LEFT ANTI`` join against
-   the broadcast upper-bound set seeded by a local NNinit run: a partial
-   route survives only if *no* already-known sequenced route dominates every
-   possible completion of it;
+   semantic-match minimum distances).  The Eq. 3 threshold of the
+   upper-bound set ``S0`` seeded by a local NNinit run is a step function
+   of the semantic score, written as one ``CASE WHEN`` column
+   (:func:`threshold_col`): a partial route survives only while it is
+   shorter than the threshold at its best possible semantic score, i.e. no
+   already-known sequenced route dominates every possible completion of it;
 4. after the last level, candidates (plus the NNinit seeds, which the
    threshold prune may have cut as self-equivalent) pass through a window
    skyline to the minimal result set.
+
+Each level runs one ``collect`` (the per-source budgets) and one
+``localCheckpoint`` of the next frontier.
 
 Exactness: pruning only ever compares against *complete* sequenced routes
 (Lemma 5.3), never partial-vs-partial — under the all-PoIs-distinct rule a
@@ -30,18 +36,18 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 from pyspark.sql.window import Window
 
 from repro.core.bounds import MinDistBounds
-from repro.core.dominance import _EPS
+from repro.core.dominance import _EPS, SkylineSet, score_key
 from repro.core.nninit import nninit, _destination_distances
 from repro.core.query import QueryContext
-from repro.graphs.categories import WU_PALMER_SQL, CategoryForest
+from repro.graphs.categories import CategoryForest
 from repro.graphs.generator import Dataset, Graph
-from repro.graphs.sssp_spark import bellman_ford_sssp, edges_bidirectional, partitioned_dijkstra
+from repro.graphs.sssp_spark import partitioned_dijkstra
 
 INF = float("inf")
 
@@ -57,12 +63,18 @@ def dataset_tables(spark: SparkSession, ds: Dataset) -> dict[str, DataFrame]:
     }
 
 
-def similarity_df(spark: SparkSession, ancestors: DataFrame, target: int) -> DataFrame:
-    """Wu–Palmer similarity of every same-tree category to ``target``,
-    computed relationally from the ancestor closure (shared SQL with the
-    DuckDB oracle)."""
-    ancestors.createOrReplaceTempView("_anc")
-    return spark.sql(WU_PALMER_SQL.format(anc="_anc", target=int(target)))
+def threshold_col(S: SkylineSet, s: Column) -> Column:
+    """Eq. (3) as a column: ``S.threshold`` of each row's semantic score.
+
+    ``S.entries`` is sorted by semantic score with strictly decreasing
+    length, so the threshold at ``s`` is the length of the last entry with
+    ``ts <= s + _EPS`` — the comparison ``SkylineSet.threshold`` makes.
+    Each entry wraps the chain so far, so the last entry is tested first.
+    """
+    out = F.lit(INF)
+    for ts, tl, _r in S.entries:
+        out = F.when(F.lit(ts) <= s + F.lit(_EPS), F.lit(tl)).otherwise(out)
+    return out
 
 
 def skyline_df(df: DataFrame, l_col: str = "length", s_col: str = "semantic") -> DataFrame:
@@ -99,9 +111,7 @@ def skysr_spark(
     v_q: int,
     seq_cats: list[int],
     *,
-    engine: str = "partitioned",  # "partitioned" | "bellman"
     destination: int | None = None,
-    use_bounds: bool = True,
 ) -> DataFrame:
     """Answer the SkySR query as a DataFrame of ``(route, length, semantic)``
     rows (``route`` is an array of PoI vertex ids)."""
@@ -110,29 +120,10 @@ def skysr_spark(
 
     # --- local seeding: NNinit upper bounds + minimum-distance lower bounds
     S0 = nninit(ctx)
-    bounds = MinDistBounds.compute(ctx, S0.threshold(0.0)) if use_bounds else MinDistBounds.zeros(k)
-    entries = spark.createDataFrame(
-        pd.DataFrame(
-            {"ts": [s for (s, l, _r) in S0.entries], "tl": [l for (s, l, _r) in S0.entries]}
-        )
-        if len(S0)
-        else pd.DataFrame({"ts": pd.Series(dtype=float), "tl": pd.Series(dtype=float)})
-    )
+    bounds = MinDistBounds.compute(ctx, S0.threshold(0.0))
     dest_dist = _destination_distances(ctx)
-
-    # --- semantic hierarchy filters, one per position, built relationally
-    ancestors = spark.createDataFrame(forest.ancestors_pandas())
-    pois = spark.createDataFrame(graph.pois_pandas())
-    match_dfs: list[DataFrame] = []
-    for c in seq_cats:
-        sim = similarity_df(spark, ancestors, c)
-        match_dfs.append(
-            pois.join(sim, on="cat_id")
-            .where(F.col("sim") > 0)
-            .select(F.col("poi_id").alias("vertex"), "sim")
-        )
-
-    edges = edges_bidirectional(spark, graph) if engine == "bellman" else None
+    # Eq. 3 threshold at a row's best possible semantic score s_(R) = 1 - prod.
+    thresh = threshold_col(S0, F.lit(1.0) - F.col("prod"))
 
     route_schema = T.StructType(
         [
@@ -149,36 +140,23 @@ def skysr_spark(
     completed: DataFrame | None = None
     for pos in range(k):
         suffix_next = bounds.remaining_ls(pos + 1)
-        # Per-row Eq. 3 threshold: tightest known sequenced-route length at
-        # this row's best-possible semantic score.
-        fr = frontier.withColumn("s_min", F.lit(1.0) - F.col("prod"))
-        th = entries
-        fr = (
-            fr.join(th, on=[th.ts <= fr.s_min + F.lit(_EPS)], how="left")
-            .groupBy("route", "end", "length", "prod", "s_min")
-            .agg(F.min("tl").alias("thresh"))
-            .withColumn("thresh", F.coalesce(F.col("thresh"), F.lit(INF)))
-            .withColumn("budget", F.col("thresh") - F.col("length") - F.lit(suffix_next))
-            .where(F.col("budget") > 0)
-            .localCheckpoint(eager=True)
-        )
+        fr = frontier.withColumn(
+            "budget", thresh - F.col("length") - F.lit(suffix_next)
+        ).where(F.col("budget") > 0)
         src_budget = {
             int(r["end"]): float(r["mb"])
             for r in fr.groupBy("end").agg(F.max("budget").alias("mb")).collect()
         }
         if not src_budget:
             break
-        sources = sorted(src_budget)
-        if engine == "bellman":
-            global_cut = max(src_budget.values())
-            dists = bellman_ford_sssp(spark, edges, sources, cutoff=global_cut)
-        else:
-            emit = np.zeros(graph.n_vertices, dtype=bool)
-            emit[ctx.tree_pois[pos]] = True
-            dists = partitioned_dijkstra(
-                spark, graph, sources, cutoffs=src_budget, emit_only=emit
-            )
-        cand = dists.join(match_dfs[pos], on="vertex").select(
+        matches = ctx.match_sims[pos]
+        emit = np.zeros(graph.n_vertices, dtype=bool)
+        emit[list(matches)] = True
+        dists = partitioned_dijkstra(
+            spark, graph, sorted(src_budget), cutoffs=src_budget, emit_only=emit
+        )
+        match_df = spark.createDataFrame(list(matches.items()), "vertex LONG, sim DOUBLE")
+        cand = dists.join(match_df, on="vertex").select(
             F.col("source"), F.col("vertex").alias("poi"), "dist", "sim"
         )
         expanded = (
@@ -195,16 +173,9 @@ def skysr_spark(
         if pos < k - 1:
             # Algorithm 2 line 10 analog: re-prune with the candidate's own
             # (tighter) threshold before it joins the next frontier.
-            frontier = expanded.join(
-                th,
-                on=[
-                    th.ts <= (F.lit(1.0) - expanded.prod) + F.lit(_EPS),
-                    th.tl <= expanded.length + F.lit(suffix_next) + F.lit(_EPS),
-                ],
-                how="left_anti",
+            frontier = expanded.where(
+                thresh > F.col("length") + F.lit(suffix_next) + F.lit(_EPS)
             ).localCheckpoint(eager=True)
-            if frontier.isEmpty():
-                break
         else:
             completed = expanded
 
@@ -242,6 +213,4 @@ def skysr_spark(
 
 def skysr_spark_scores(df: DataFrame) -> set[tuple[float, float]]:
     """Collected (length, semantic) score pairs, rounded like BSSRResult."""
-    return {
-        (round(r["length"], 9), round(r["semantic"], 9)) for r in df.collect()
-    }
+    return {score_key(r["length"], r["semantic"]) for r in df.collect()}

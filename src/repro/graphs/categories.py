@@ -143,9 +143,8 @@ class CategoryForest:
     def ancestors_pandas(self) -> pd.DataFrame:
         """Ancestor closure ``(cat_id, anc_id, anc_depth)`` incl. self rows.
 
-        This is the relational backbone for computing Wu–Palmer similarity in
-        Spark SQL / DuckDB: join the closures of two categories on ``anc_id``
-        and take the deepest shared row.
+        Joining the closures of two categories on ``anc_id`` and taking the
+        deepest shared row gives their LCA, the relational form of Eq. 6.
         """
         rows = []
         for c in range(self.n_categories):
@@ -265,32 +264,3 @@ def depth2_forest(n_trees: int, n_leaves: int) -> CategoryForest:
             name.append(f"R{t}/leaf{j}")
     return CategoryForest(parent, tree_id, depth, name)
 
-
-# SQL template used by both DuckDB (oracle) and Spark SQL to derive the
-# Wu–Palmer similarity of every category against a target category from the
-# ancestor-closure table — keeping the relational form in one place so tests
-# exercise the same text on both engines.
-WU_PALMER_SQL = """
-WITH tgt AS (
-  SELECT anc_id, anc_depth FROM {anc} WHERE cat_id = {target}
-),
-tgt_depth AS (
-  SELECT MAX(anc_depth) AS d FROM tgt
-),
-pairs AS (
-  SELECT a.cat_id,
-         MAX(a.anc_depth) AS lca_depth,
-         MAX(a2.self_depth) AS cat_depth
-  FROM {anc} a
-  JOIN tgt ON a.anc_id = tgt.anc_id
-  JOIN (
-    SELECT cat_id, MAX(anc_depth) AS self_depth FROM {anc} GROUP BY cat_id
-  ) a2 ON a2.cat_id = a.cat_id
-  GROUP BY a.cat_id
-)
-SELECT pairs.cat_id AS cat_id,
-       CAST(CASE WHEN pairs.cat_id = {target} THEN 1.0
-                 ELSE 2.0 * pairs.lca_depth / (pairs.cat_depth + tgt_depth.d)
-            END AS DOUBLE) AS sim
-FROM pairs, tgt_depth
-"""

@@ -53,9 +53,14 @@ def settle(
     """Yield ``(dist, vertex, parent)`` for each vertex in settle order.
 
     Sources enter at distance 0 with parent ``-1``; ``parent`` is the vertex
-    whose relaxation gave ``dist``.  Ties in ``dist`` settle in vertex-id
-    order.  A vertex ``u`` with ``through[u]`` false is yielded but its
-    edges are not relaxed.  ``reverse`` walks in-edges — distances *to* the
+    whose relaxation gave ``dist``.  Each step settles the smallest
+    ``(dist, vertex)`` among the vertices discovered so far.  With positive
+    weights every vertex at a tied distance is discovered before the first
+    of them settles, so ties settle in vertex-id order; a zero-weight edge
+    can discover a tied vertex later, which then settles after larger ids
+    (edges ``(0,5,1), (5,2,0), (0,3,1)`` from 0 settle 0, 3, 5, 2).  A
+    vertex ``u`` with ``through[u]`` false is yielded but its edges are not
+    relaxed.  ``reverse`` walks in-edges — distances *to* the
     sources on a directed graph (no-op on undirected ones).
     """
     adj = graph.adjacency(reverse)

@@ -361,11 +361,22 @@ def graph_from_edges(
     ``edges`` are ``(u, v, w)`` (undirected unless ``directed``);
     ``poi_cats`` maps PoI vertex ids to their primary category;
     ``extra_cats`` adds further categories per PoI (§6 multi-category
-    variant).
+    variant).  Raises ``ValueError`` for a negative or non-finite weight
+    and for an edge endpoint or PoI id outside ``[0, n_vertices)``; zero
+    weights are legal.
     """
     eu = np.array([e[0] for e in edges], dtype=np.int64)
     ev = np.array([e[1] for e in edges], dtype=np.int64)
     ew = np.array([e[2] for e in edges], dtype=np.float64)
+    bad_w = ~np.isfinite(ew) | (ew < 0)
+    if bad_w.any():
+        raise ValueError(f"edge {edges[int(np.argmax(bad_w))]} needs a finite weight >= 0")
+    for u, v, _w in edges:
+        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n_vertices})")
+    for p in [*poi_cats, *(extra_cats or {})]:
+        if not 0 <= p < n_vertices:
+            raise ValueError(f"PoI id {p} is outside [0, {n_vertices})")
     cat_of = np.full(n_vertices, -1, dtype=np.int64)
     for p, c in poi_cats.items():
         cat_of[p] = c

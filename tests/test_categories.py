@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.graphs.categories import (
     CategoryForest,
-    WU_PALMER_SQL,
     build_forest,
     depth2_forest,
     foursquare_lite_forest,
@@ -158,20 +157,3 @@ class TestTabular:
         pdf = fsq.to_pandas()
         assert list(pdf.cat_id) == list(range(fsq.n_categories))
         assert list(pdf.depth) == fsq.depth
-
-    def test_wu_palmer_sql_duckdb_matches_python(self, fsq):
-        """The relational Eq. 6 (shared with the Spark pipeline) must agree
-        with the direct implementation on every same-tree category."""
-        import duckdb
-
-        anc = fsq.ancestors_pandas()
-        con = duckdb.connect()
-        con.register("anc", anc)
-        for target in [0, fsq.children(0)[0], fsq.leaves_of_tree(0)[0]]:
-            got = con.execute(WU_PALMER_SQL.format(anc="anc", target=target)).fetchdf()
-            got = dict(zip(got.cat_id, got.sim))
-            for c in range(fsq.n_categories):
-                expected = fsq.sim(c, target)
-                if fsq.tree_id[c] == fsq.tree_id[target]:
-                    assert got[c] == pytest.approx(expected), (c, target)
-        con.close()

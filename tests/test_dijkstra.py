@@ -84,6 +84,13 @@ class TestDijkstraVsFloydWarshall:
         got = [(d, u) for d, u, _p in settle(g, [0], through=[True, False, True, True])]
         assert got == [(0.0, 0), (1.0, 1), (5.0, 3)]
 
+    def test_settle_tie_order(self):
+        """Ties settle by vertex id among the vertices discovered so far:
+        the zero-weight edge discovers 2 only after 5 settles."""
+        g = graph_from_edges(6, [(0, 5, 1.0), (5, 2, 0.0), (0, 3, 1.0)], {})
+        got = [(d, u) for d, u, _p in settle(g, [0])]
+        assert got == [(0.0, 0), (1.0, 3), (1.0, 5), (1.0, 2)]
+
     def test_symmetry(self, graphs):
         g = graphs[0]
         d01 = dijkstra(g, 0)[1]

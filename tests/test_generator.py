@@ -153,6 +153,37 @@ class TestHelpers:
         assert int(g.cat_of[3]) == 5
         assert g.pois_of_category(5).tolist() == [3]
 
+    @pytest.mark.parametrize(
+        "edges, pois, extra",
+        [
+            ([(0, 1, -1.0)], {}, None),
+            ([(0, 1, float("nan"))], {}, None),
+            ([(0, 1, float("inf"))], {}, None),
+            ([(0, 4, 1.0)], {}, None),
+            ([(-1, 1, 1.0)], {}, None),
+            ([(0, 1, 1.0)], {4: 5}, None),
+            ([(0, 1, 1.0)], {-1: 5}, None),
+            ([(0, 1, 1.0)], {3: 5}, {7: [6]}),
+        ],
+        ids=[
+            "negative-weight",
+            "nan-weight",
+            "inf-weight",
+            "endpoint-past-end",
+            "negative-endpoint",
+            "poi-past-end",
+            "negative-poi",
+            "extra-poi-past-end",
+        ],
+    )
+    def test_graph_from_edges_rejects_bad_input(self, edges, pois, extra):
+        with pytest.raises(ValueError):
+            graph_from_edges(4, edges, pois, extra_cats=extra)
+
+    def test_graph_from_edges_accepts_zero_weight(self):
+        g = graph_from_edges(2, [(0, 1, 0.0)], {})
+        assert g.edges_w.tolist() == [0.0]
+
     def test_popular_leaf_categories(self, small_graph):
         f = foursquare_lite_forest()
         by_tree = popular_leaf_categories(small_graph, f, min_pois=2)

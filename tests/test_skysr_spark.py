@@ -3,14 +3,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
 from repro.baselines.brute import brute_force_skysr, score_set
 from repro.core.bssr import bssr
+from repro.core.dominance import _EPS, SkylineSet
 from repro.core.skysr_spark import (
     dataset_tables,
-    similarity_df,
     skysr_spark,
     skysr_spark_scores,
+    threshold_col,
 )
 from repro.core.scores import is_sequenced_route, route_scores
 from tests.conftest import random_query
@@ -33,21 +35,6 @@ class TestPipelineExactness:
         v_q, cats = random_query(ds.graph, ds.forest, rng, 2)
         want = score_set(brute_force_skysr(ds.graph, ds.forest, v_q, cats))
         df = skysr_spark(spark, ds.graph, ds.forest, v_q, cats)
-        assert skysr_spark_scores(df) == want
-
-    def test_bellman_engine(self, spark, random_world_factory):
-        g, f, rng = random_world_factory(4, n_road=50, n_pois=30)
-        v_q, cats = random_query(g, f, rng, 2)
-        want = bssr(g, f, v_q, cats).score_set()
-        df = skysr_spark(spark, g, f, v_q, cats, engine="bellman")
-        assert skysr_spark_scores(df) == want
-
-    def test_without_bounds_still_exact(self, spark, tiny_tokyo):
-        ds = tiny_tokyo
-        rng = np.random.default_rng(6)
-        v_q, cats = random_query(ds.graph, ds.forest, rng, 2)
-        want = bssr(ds.graph, ds.forest, v_q, cats).score_set()
-        df = skysr_spark(spark, ds.graph, ds.forest, v_q, cats, use_bounds=False)
         assert skysr_spark_scores(df) == want
 
     def test_destination_variant(self, spark, tiny_tokyo):
@@ -80,27 +67,31 @@ class TestRelationalPieces:
         assert t["pois"].count() == tiny_tokyo.graph.n_pois
         assert t["categories"].count() == tiny_tokyo.forest.n_categories
 
-    def test_similarity_df_matches_python_and_duckdb(self, spark, tiny_tokyo):
-        """Spark SQL Wu–Palmer == DuckDB Wu–Palmer == direct Python, via the
-        repo oracle (same SQL text on both engines)."""
-        from repro.graphs.categories import WU_PALMER_SQL
-        from repro.oracle import assert_equivalent
-
-        forest = tiny_tokyo.forest
-        anc = forest.ancestors_pandas()
-        target = forest.leaves_of_tree(3)[2]
-        sdf = similarity_df(spark, spark.createDataFrame(anc), target)
-        assert_equivalent(sdf, WU_PALMER_SQL.format(anc="anc", target=target), anc=anc)
-        got = {int(r["cat_id"]): float(r["sim"]) for r in sdf.collect()}
-        for c, s in got.items():
-            assert s == pytest.approx(forest.sim(c, target))
+    @pytest.mark.parametrize("n_updates", [0, 1, 5, 20])
+    def test_threshold_col_equals_skyline_threshold(self, spark, n_updates):
+        """The Eq. 3 column equals ``SkylineSet.threshold`` on a random
+        frontier: at every entry's ``ts``, at ``ts +- _EPS``, near entries
+        and past both ends."""
+        rng = np.random.default_rng(n_updates)
+        S = SkylineSet()
+        for _ in range(n_updates):
+            S.update(float(rng.uniform(1.0, 50.0)), float(rng.choice([0.0, rng.random()])), None)
+        probes = [-1.0, 0.0, 0.5, 1.0, 2.0]
+        for ts, _tl, _r in S.entries:
+            probes += [ts, ts - _EPS, ts + _EPS, ts - 1e-3, ts + 1e-3]
+        got = (
+            spark.createDataFrame([(p,) for p in probes], "s DOUBLE")
+            .select("s", threshold_col(S, F.col("s")).alias("t"))
+            .collect()
+        )
+        assert len(got) == len(probes)
+        for r in got:
+            assert r["t"] == S.threshold(r["s"]), (r["s"], S.entries)
 
     def test_full_query_against_duckdb_oracle(self, spark, random_world_factory):
         """End-to-end oracle: the pipeline's minimal score set equals a
         DuckDB SQL formulation (k-way join over a pairwise-distance table,
         NOT EXISTS skyline) on a small world."""
-        from pyspark.sql import functions as F
-
         from repro.core.query import QueryContext
         from repro.graphs.dijkstra import dijkstra
         from repro.oracle import assert_equivalent

@@ -1,4 +1,4 @@
-"""Distributed SSSP engines vs the local Dijkstra ground truth."""
+"""The distributed SSSP engine vs the local Dijkstra ground truth."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,11 +8,7 @@ import pytest
 from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs.dijkstra import dijkstra
 from repro.graphs.generator import graph_from_edges, road_network
-from repro.graphs.sssp_spark import (
-    bellman_ford_sssp,
-    edges_bidirectional,
-    partitioned_dijkstra,
-)
+from repro.graphs.sssp_spark import partitioned_dijkstra
 
 INF = float("inf")
 
@@ -63,37 +59,8 @@ class TestPartitionedDijkstra:
         got = _collect(partitioned_dijkstra(spark, world, sources, n_partitions=4))
         assert {s for (s, _v) in got} == set(sources)
 
-
-class TestBellmanFord:
-    def test_matches_local_small(self, spark):
-        g = graph_from_edges(
-            6,
-            [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (3, 4, 2.5), (4, 5, 1.0), (0, 5, 9.0)],
-            {},
-        )
-        edges = edges_bidirectional(spark, g)
-        got = _collect(bellman_ford_sssp(spark, edges, [0, 3]))
-        for s in (0, 3):
-            ref = dijkstra(g, s)
-            for v in range(g.n_vertices):
-                assert got[(s, v)] == pytest.approx(ref[v])
-
-    def test_cutoff(self, spark):
-        g = graph_from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], {})
-        edges = edges_bidirectional(spark, g)
-        got = _collect(bellman_ford_sssp(spark, edges, [0], cutoff=1.5))
-        assert (0, 1) in got and (0, 2) not in got
-
-    def test_agrees_with_partitioned(self, spark, world):
-        src = [0]
-        a = _collect(bellman_ford_sssp(spark, edges_bidirectional(spark, world), src))
-        b = _collect(partitioned_dijkstra(spark, world, src))
-        assert set(a) == set(b)
-        for k in a:
-            assert a[k] == pytest.approx(b[k])
-
     def test_duckdb_oracle_bounded_walk(self, spark):
-        """Spark Bellman–Ford vs an independent DuckDB recursive walk on a
+        """Partitioned Dijkstra vs an independent DuckDB recursive walk on a
         tiny graph, through the repo oracle."""
         from repro.oracle import assert_equivalent
 
@@ -103,10 +70,7 @@ class TestBellmanFord:
             [pdf, pdf.rename(columns={"src": "dst", "dst": "src"})[["src", "dst", "w"]]],
             ignore_index=True,
         )
-        sdf = (
-            bellman_ford_sssp(spark, spark.createDataFrame(both), [0])
-            .select("vertex", "dist")
-        )
+        sdf = partitioned_dijkstra(spark, g, [0]).select("vertex", "dist")
         assert_equivalent(
             sdf,
             """

@@ -74,11 +74,7 @@ class TestDirectedGraphs:
         assert ref[0, 2] == 2.0 and ref[2, 0] == 1.0
 
     def test_spark_engines_on_directed(self, spark):
-        from repro.graphs.sssp_spark import (
-            bellman_ford_sssp,
-            edges_bidirectional,
-            partitioned_dijkstra,
-        )
+        from repro.graphs.sssp_spark import partitioned_dijkstra
 
         g = graph_from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)], {}, directed=True)
         ref = dijkstra(g, 0)
@@ -86,13 +82,8 @@ class TestDirectedGraphs:
             int(r["vertex"]): float(r["dist"])
             for r in partitioned_dijkstra(spark, g, [0]).collect()
         }
-        got_b = {
-            int(r["vertex"]): float(r["dist"])
-            for r in bellman_ford_sssp(spark, edges_bidirectional(spark, g), [0]).collect()
-        }
         for v in range(4):
             assert got_p[v] == pytest.approx(ref[v])
-            assert got_b[v] == pytest.approx(ref[v])
 
 
 class TestMultiCategoryPoIs:
@@ -148,3 +139,48 @@ class TestMultiCategoryPoIs:
         # 0->3 (food via extra cat) = 3, then 3->1 (shop) = 2 -> total 5;
         # vs 0->4 = 4, 4->1 = 3 -> 7.
         assert best_perfect == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("engine", ["dijkstra", "pne"])
+    def test_naive_sees_extra_categories(self, world, engine):
+        """PoI 3 matches food[0] only through its extra category; the naive
+        baselines' super-category match sets must include it."""
+        from repro.baselines.naive import naive_skysr
+
+        g, f, food, shop = world
+        want = score_set(brute_force_skysr(g, f, 0, [food[0]]))
+        assert want == {(3.0, 0.0)}
+        assert score_set(naive_skysr(g, f, 0, [food[0]], engine=engine)) == want
+
+    @pytest.fixture(scope="class")
+    def partial_world(self):
+        """PoI 3 is primarily an arts leaf; its extra category is a food
+        sibling of the query's food[0] — a non-perfect match (sim 2/3)."""
+        f = foursquare_lite_forest()
+        food = f.leaves_of_tree(0)
+        shop = f.leaves_of_tree(1)
+        g = graph_from_edges(
+            5,
+            [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)],
+            {3: f.leaves_of_tree(2)[0], 4: food[0], 1: shop[0]},
+            extra_cats={3: [food[1]]},
+        )
+        return g, f, [food[0], shop[0]]
+
+    def test_scoring_reads_extra_categories(self, partial_world):
+        from repro.core.scores import is_sequenced_route, route_scores
+
+        g, f, cats = partial_world
+        res = bssr(g, f, 0, cats)
+        assert (3, 1) in {r for _l, _s, r in res.routes}
+        for l, s, r in res.routes:
+            assert is_sequenced_route(g, f, cats, r)
+            assert route_scores(g, f, 0, cats, r) == pytest.approx((l, s))
+        assert route_scores(g, f, 0, cats, (3, 1)) == pytest.approx((5.0, 1 / 3))
+
+    def test_spark_matches_brute_with_extra_cats(self, spark, partial_world):
+        from repro.core.skysr_spark import skysr_spark, skysr_spark_scores
+
+        g, f, cats = partial_world
+        want = score_set(brute_force_skysr(g, f, 0, cats))
+        assert len(want) == 2  # (5, 1/3) via PoI 3's extra category, and (7, 0)
+        assert skysr_spark_scores(skysr_spark(spark, g, f, 0, cats)) == want
