@@ -14,9 +14,10 @@ benchmarks SkySR against "iteratively find OSRs" with each:
   small.  Each (endpoint, position) neighbour list is a lazy prefix of the
   matching PoIs in settle order: it grows, by doubling, only when PNE asks
   for a rank past its end, and each growth runs one transient
-  :func:`~repro.graphs.dijkstra.settle` search that stops at the prefix's
-  new length.  Only the ``(poi, dist)`` tuples are kept, so retained memory
-  stays tuple-sized (the paper's PNE footprint).
+  :func:`~repro.graphs.dijkstra.settle_to` search towards the position's
+  matches that stops at the prefix's new length.  Only the ``(poi, dist)``
+  tuples are kept, so retained memory stays tuple-sized (the paper's PNE
+  footprint).
 
 Both take per-position PoI match sets, so the naive SkySR baseline can feed
 them the subtree-closure sets of each super-category sequence.
@@ -34,7 +35,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.graphs.dijkstra import settle
+from repro.graphs.dijkstra import settle_to
 from repro.graphs.dijkstra import dijkstra  # noqa: F401  (perfbench's tracer wraps this module's name)
 from repro.graphs.generator import Graph
 
@@ -110,10 +111,11 @@ def osr_pne(
     # (poi, dist) in settle order, which on positive weights is the
     # (dist, vertex) order of the whole list sorted by distance.  A list is
     # a prefix until its key is in `complete`.  Asking past its end reruns
-    # one transient settle search that keeps max(n + 1, 2 * len) matches, so
-    # lists grow by doubling and no search state outlives the call: PNE
-    # keeps only small tuple lists (the paper's PNE memory profile).  Settle
-    # order is deterministic, so a regrown list extends the old one and PNE
+    # one transient settle_to search, which heaps only core vertices and
+    # matches, and keeps its first max(n + 1, 2 * len) matches, so lists
+    # grow by doubling and no search state outlives the call: PNE keeps
+    # only small tuple lists (the paper's PNE memory profile).  Settle order
+    # is deterministic, so a regrown list extends the old one and PNE
     # explores exactly as it would over complete lists.
     members = [frozenset(int(p) for p in m) for m in match_sets]
     nn_lists: dict[tuple[int, int], list[tuple[int, float]]] = {}
@@ -125,11 +127,10 @@ def osr_pne(
         if n >= len(lst) and key not in complete:
             want, match = max(n + 1, 2 * len(lst)), members[pos]
             lst = []
-            for d, u, _p in settle(graph, (src,)):
-                if u in match:
-                    lst.append((u, d))
-                    if len(lst) == want:
-                        break
+            for d, u in settle_to(graph, (src,), match):
+                lst.append((u, d))
+                if len(lst) == want:
+                    break
             else:
                 complete.add(key)  # the source's component ran out
             nn_lists[key] = lst

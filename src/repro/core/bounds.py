@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.query import QueryContext
-from repro.graphs.dijkstra import settle, settle_below
+from repro.graphs.dijkstra import settle_below, settle_to
 from repro.graphs.dijkstra import dijkstra  # noqa: F401  (perfbench's tracer wraps this module's name)
 from repro.graphs.generator import Graph
 
@@ -92,14 +92,13 @@ def _leg_minima(g: Graph, srcs: list[int], sem: set[int], perf: set[int]) -> tup
     if not sem:
         return INF, INF
     ls = INF
-    for d, u, _p in settle(g, srcs):
-        if u in sem:
-            if ls == INF:
-                ls = d
-                if not perf:
-                    break
-            if u in perf:
-                return ls, d
+    for d, u in settle_to(g, srcs, sem):
+        if ls == INF:
+            ls = d
+            if not perf:
+                break
+        if u in perf:
+            return ls, d
     return ls, INF
 
 

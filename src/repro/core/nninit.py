@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.dominance import SkylineSet
 from repro.core.query import QueryContext
 from repro.core.scores import semantic_score
-from repro.graphs.dijkstra import dijkstra, settle
+from repro.graphs.dijkstra import dijkstra, settle_to
 
 
 def nninit(ctx: QueryContext) -> SkylineSet:
@@ -31,15 +31,16 @@ def nninit(ctx: QueryContext) -> SkylineSet:
     for i in range(ctx.k):
         sim = ctx.match_sims[i]
         last = i == ctx.k - 1
-        for d, u, _p in settle(ctx.graph, (start,)):
-            sim_u = sim.get(u, 0.0)
-            usable = sim_u > 0.0 and u not in route
-            if last and usable:
+        for d, u in settle_to(ctx.graph, (start,), sim):
+            if u in route:
+                continue
+            sim_u = sim[u]
+            if last:
                 # Every semantic match settled on the way in completes a
                 # sequenced route (Algorithm 3 lines 9–11).
                 l = total_len + d + (dest_extra[u] if dest_extra is not None else 0.0)
                 S.update(l, semantic_score(sim_u), route + (u,))
-            if usable and sim_u == 1.0:
+            if sim_u == 1.0:
                 route = route + (u,)
                 total_len += d
                 start = u

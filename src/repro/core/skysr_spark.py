@@ -35,7 +35,6 @@ tests verify against local BSSR and brute force.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
@@ -155,10 +154,15 @@ def skysr_spark(
         dists = partitioned_dijkstra(
             spark, graph, sorted(src_budget), cutoffs=src_budget, emit_only=emit
         )
-        match_df = spark.createDataFrame(list(matches.items()), "vertex LONG, sim DOUBLE")
-        cand = dists.join(match_df, on="vertex").select(
-            F.col("source"), F.col("vertex").alias("poi"), "dist", "sim"
-        )
+        match_rows, match_schema = list(matches.items()), "vertex LONG, sim DOUBLE"
+        new_length = F.col("length") + F.col("dist")
+        if pos == k - 1 and dest_dist is not None:
+            # §6 destination leg: only the last position's matches end a route.
+            match_rows = [(u, sim, float(dest_dist[u])) for u, sim in match_rows]
+            match_schema += ", dd DOUBLE"
+            new_length = new_length + F.col("dd")
+        match_df = spark.createDataFrame(match_rows, match_schema)
+        cand = dists.join(match_df, on="vertex").withColumnRenamed("vertex", "poi")
         expanded = (
             fr.join(cand, fr.end == cand.source)
             .where(~F.array_contains(F.col("route"), F.col("poi")))
@@ -166,7 +170,7 @@ def skysr_spark(
             .select(
                 F.concat(F.col("route"), F.array(F.col("poi"))).alias("route"),
                 F.col("poi").alias("end"),
-                (F.col("length") + F.col("dist")).alias("length"),
+                new_length.alias("length"),
                 (F.col("prod") * F.col("sim")).alias("prod"),
             )
         )
@@ -193,18 +197,6 @@ def skysr_spark(
     if completed is None:
         cands = seeds
     else:
-        if dest_dist is not None:
-            dd = spark.createDataFrame(
-                pd.DataFrame(
-                    {
-                        "end": np.arange(graph.n_vertices, dtype=np.int64),
-                        "dd": dest_dist,
-                    }
-                )
-            )
-            completed = completed.join(dd, on="end").withColumn(
-                "length", F.col("length") + F.col("dd")
-            )
         cands = completed.select(
             "route", "length", (F.lit(1.0) - F.col("prod")).alias("semantic")
         ).unionByName(seeds)

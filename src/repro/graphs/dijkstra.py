@@ -1,40 +1,37 @@
 """Local shortest-path primitives over :class:`repro.graphs.generator.Graph`.
 
-Every vertex-graph search in the program runs on one of two kernels:
+Every vertex-graph search in the program runs on one of three kernels:
 
 * :func:`settle` — multi-source Dijkstra as a generator of settled
-  vertices ``(dist, vertex, parent)`` in nondecreasing distance.  It serves
-  the searches that need settle order or stop early: the caller decides
-  when to stop (leaving the loop ends the search before the last yielded
-  vertex is relaxed) and ``through`` marks the vertices whose edges are
-  never relaxed (the Lemma 5.5-ii rule of BSSR's modified Dijkstra).
+  vertices ``(dist, vertex, parent)`` in nondecreasing distance, every
+  vertex through the heap.  The caller decides when to stop (leaving the
+  loop ends the search before the last yielded vertex is relaxed), and
+  ``through`` marks the vertices whose edges are never relaxed.  It serves
+  :func:`dijkstra` and is the tests' reference for the other two.
 * :func:`settle_below` — the whole ball below a distance budget, from one
-  source.  It serves the budgeted searches that need every distance in the
-  ball but no order: BSSR's modified Dijkstra and the Algorithm 4 range
-  filter.  Its heap holds only the core vertices of ``Graph.chains()``;
-  degree-2 chains and dead-end branches are walked edge by edge, with the
-  same stepwise sums, ties, ``through`` rule and stop value as
-  :func:`settle`.
+  source, with ``settle``'s ``through`` rule and stop value.  It serves the
+  budgeted searches that need every distance in the ball but no order:
+  BSSR's modified Dijkstra, the Algorithm 4 range filter and the
+  ``mapInPandas`` engine of ``repro.graphs.sssp_spark``.
+* :func:`settle_to` — the target vertices only, in ``settle``'s order.  It
+  serves the searches that want the next *matching* PoIs: NNinit's
+  per-position searches, the Lemma 5.9 leg minima of
+  ``repro.core.bounds`` and the PNE neighbour lists of
+  ``repro.baselines.osr``.
 
-Two thin consumers of :func:`settle` cover the other callers:
+The last two hold only the core vertices of ``Graph.chains()`` in their
+heap (plus, for :func:`settle_to`, the targets found so far); degree-2
+chains and dead-end branches are walked edge by edge with the same
+stepwise sums, so every distance is bit-identical to :func:`settle`'s.
 
-* :func:`dijkstra` — single-source distances with optional early target
-  termination (the workhorse inside OSR baselines, route scoring and
-  NNinit's destination leg);
-* :func:`multi_source_to_targets` — the multi-source multi-destination
-  Dijkstra of §5.3.3 (Lemma 5.9) for one target set: all sources enter one
-  priority queue at distance 0 and the first settled destination yields the
-  minimum source-set-to-target-set distance.  The tests use it as the
-  reference for ``repro.core.bounds``, which gets both minima of a leg from
-  one such search.
-
-NNinit, the Algorithm 4 leg minima and the ``mapInPandas`` engine of
-``repro.graphs.sssp_spark`` consume :func:`settle` directly.
+:func:`dijkstra` — single-source distances with optional early target
+termination — serves route scoring, brute force and the §6 destination
+leg.
 """
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -188,6 +185,74 @@ def settle_below(
     return dist, radius, passed
 
 
+def settle_to(
+    graph: Graph,
+    sources: Iterable[int],
+    targets: Container[int],
+) -> Iterator[tuple[float, int]]:
+    """Yield ``(dist, vertex)`` for the vertices in ``targets`` only, in
+    settle order.
+
+    On positive weights the output equals ``[(d, u) for d, u, _p in
+    settle(graph, sources) if u in targets]`` bit for bit; the caller stops
+    the search by leaving the loop.  Only the core vertices of
+    ``graph.chains()`` and the targets discovered so far enter the heap:
+    degree-2 chains and dead-end branches are walked with stepwise sums as
+    in :func:`settle_below`, a target on a chain is pushed with its
+    tentative distance, and an entry superseded by a shorter one is skipped
+    when popped.  A non-core source is walked out of along each of its
+    edges before the first pop.  With a zero-weight edge a tie may come out in
+    vertex-id order where :func:`settle` discovers it late.
+    """
+    chains, adj = graph.chains(), graph.adjacency()
+    dist: dict[int, float] = dict.fromkeys(map(int, sources), 0.0)
+    heap = [(0.0, s) for s in dist if chains[s] is not None or s in targets]
+    heapq.heapify(heap)
+    pop, push, best = heapq.heappop, heapq.heappush, dist.get
+    for s in [s for s in dist if chains[s] is None]:
+        for e in adj[s]:
+            nd, p = 0.0, s
+            while True:
+                v, w = e
+                nd += w
+                if nd >= best(v, INF):
+                    break
+                dist[v] = nd
+                if chains[v] is not None:
+                    push(heap, (nd, v))
+                    break
+                if v in targets:
+                    push(heap, (nd, v))
+                row = adj[v]
+                if len(row) == 1:
+                    break  # dead end
+                a, b = row
+                e = b if a[0] == p and a[1] == w else a  # leave v by its other edge
+                p = v
+    while heap:
+        d, u = pop(heap)
+        if d > dist[u]:
+            continue  # superseded by a shorter entry already popped
+        if u in targets:
+            yield d, u
+        for steps, end in chains[u] or ():
+            nd = d
+            for v, w in steps:
+                nd += w
+                if nd >= best(v, INF):
+                    break  # reached at least as short from the chain's other side
+                dist[v] = nd
+                if v in targets:
+                    push(heap, (nd, v))
+            else:
+                if end is not None:
+                    v, w = end
+                    nd += w
+                    if nd < best(v, INF):
+                        dist[v] = nd
+                        push(heap, (nd, v))
+
+
 def dijkstra(
     graph: Graph,
     source: int,
@@ -215,27 +280,6 @@ def dijkstra(
     dist = np.full(graph.n_vertices, INF)
     dist[vs] = ds
     return dist
-
-
-def multi_source_to_targets(
-    graph: Graph,
-    sources: Iterable[int],
-    targets: Iterable[int],
-) -> float:
-    """Minimum distance from any source to any target (Lemma 5.9).
-
-    All sources are seeded at distance 0 in one queue; by the standard
-    Dijkstra invariant the first settled target is at the global minimum
-    source-to-target distance.  Returns ``inf`` when unreachable or either
-    set is empty.
-    """
-    tgt = set(int(t) for t in targets)
-    if not tgt:
-        return INF
-    for d, u, _p in settle(graph, sources):
-        if u in tgt:
-            return d
-    return INF
 
 
 def floyd_warshall_reference(graph: Graph) -> np.ndarray:

@@ -3,7 +3,7 @@ engine.
 
 :func:`partitioned_dijkstra` distributes the *sources*: the graph is
 broadcast once and ``mapInPandas`` partitions run the local
-``repro.graphs.dijkstra.settle`` kernel per source, emitting
+``repro.graphs.dijkstra.settle_below`` kernel per source, emitting
 ``(source, vertex, dist)`` rows for the requested target vertices only.
 This is the standard Spark pattern for graph workloads whose graph fits in
 memory but whose source fan-out is wide (DESIGN.md §deviations-9).  Each
@@ -19,7 +19,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.graphs.dijkstra import settle
+from repro.graphs.dijkstra import settle_below
 from repro.graphs.generator import Graph
 
 INF = float("inf")
@@ -36,11 +36,12 @@ def partitioned_dijkstra(
     emit_only: np.ndarray | None = None,
     n_partitions: int | None = None,
 ) -> DataFrame:
-    """Sources fan out over partitions; each runs the local ``settle``
-    kernel against the broadcast graph and keeps vertices strictly below
-    its source's cutoff.  ``emit_only`` (a vertex-id bool mask) restricts
-    output rows — the SkySR pipeline passes the semantic-match mask of the
-    next position so only candidate PoIs cross the wire."""
+    """Sources fan out over partitions; each runs the local
+    ``settle_below`` kernel against the broadcast graph, which returns the
+    vertices strictly below its source's cutoff.  ``emit_only`` (a
+    vertex-id bool mask) restricts output rows — the SkySR pipeline passes
+    the semantic-match mask of the next position so only candidate PoIs
+    cross the wire."""
     sc = spark.sparkContext
     b_graph = sc.broadcast(graph)
     b_emit = sc.broadcast(emit_only)
@@ -59,14 +60,9 @@ def partitioned_dijkstra(
         emit = b_emit.value
         for pdf in batches:
             for source, cut in zip(pdf["source"].tolist(), pdf["cutoff"].tolist()):
-                vs: list[int] = []
-                ds: list[float] = []
-                for d, u, _p in settle(g, (source,)):
-                    if d >= cut:
-                        break
-                    if emit is None or emit[u]:
-                        vs.append(u)
-                        ds.append(d)
+                ball = settle_below(g, source, cut)[0]
+                vs = [u for u in ball if emit is None or emit[u]]
+                ds = [ball[u] for u in vs]
                 yield pd.DataFrame(
                     {
                         "source": np.full(len(vs), source, dtype=np.int64),

@@ -68,3 +68,17 @@ def random_query(graph, forest, rng, size: int, *, distinct_trees: bool = True):
         cats = [int(rng.choice(by_tree[int(t)])) for t in ts]
     v_q = int(rng.integers(0, graph.n_road))
     return v_q, cats
+
+
+def multi_source_to_targets(graph, sources, targets) -> float:
+    """Minimum distance from any source to any target (Lemma 5.9): the first
+    target that :func:`repro.graphs.dijkstra.settle` settles from all
+    sources at once; ``inf`` when unreachable or either set is empty.  The
+    tests' reference for the leg searches of ``repro.core.bounds``."""
+    from repro.graphs.dijkstra import settle
+
+    tgt = {int(t) for t in targets}
+    for d, u, _p in settle(graph, sources):
+        if u in tgt:
+            return d
+    return float("inf")

@@ -19,7 +19,7 @@ from repro.baselines.osr import osr_dijkstra, osr_pne
 from repro.core.bssr import bssr
 from repro.core.query import QueryContext
 from repro.graphs.categories import foursquare_lite_forest, generated_forest
-from repro.graphs.dijkstra import dijkstra, settle
+from repro.graphs.dijkstra import dijkstra, settle_to
 from repro.graphs.generator import graph_from_edges
 from tests.conftest import random_query
 
@@ -151,11 +151,11 @@ class TestPNELazyLists:
         sets = [np.array([1, 2, 5]), np.array([3, 6])]
         exhausted = []
 
-        def spy(graph, sources, **kw):
-            yield from settle(graph, sources, **kw)
+        def spy(graph, sources, targets):
+            yield from settle_to(graph, sources, targets)
             exhausted.append(tuple(sources))  # only reached if the caller never stopped early
 
-        monkeypatch.setattr(osr_mod, "settle", spy)
+        monkeypatch.setattr(osr_mod, "settle_to", spy)
         got = osr_pne(g, 0, sets)
         assert got == brute_osr(g, 0, sets) == (3.0, (2, 3))
         _assert_valid_route(g, 0, sets, got)

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.brute import brute_force_skysr, score_set
-from repro.core.bssr import BSSROptions, bssr, bssr_first_scan
+from repro.core.bssr import _CHUNK, BSSROptions, _weight_sum, bssr, bssr_first_scan
 from repro.core.scores import is_sequenced_route, route_scores
+from repro.graphs.dijkstra import settle_below
 from tests.conftest import random_query
 
 ALL_FLAG_COMBOS = [
@@ -150,6 +151,24 @@ class TestInstrumentation:
         assert unseeded.first_weight_sum == pytest.approx(
             2 * ds.graph.edges_w.sum(), rel=0.2
         )  # unbounded scan sweeps ~every edge from both sides
+
+    def test_weight_sum_is_the_settle_order_loop(self, random_world_factory):
+        """Table 7's chunked sum equals the edge-by-edge loop in (dist,
+        vertex) order bit for bit, on scans spanning several chunks."""
+        g, _f, rng = random_world_factory(5, n_road=600, n_pois=300)
+        adj = g.adjacency()
+        for s in rng.choice(g.n_vertices, 4, replace=False):
+            mask = rng.random(g.n_vertices) > 0.1
+            mask[s] = True
+            for through in (None, mask.tobytes()):
+                dist = settle_below(g, int(s), float("inf"), through=through)[0]
+                assert through is not None or len(dist) > 3 * _CHUNK
+                want = 0.0
+                for u in sorted(dist, key=lambda u: (dist[u], u)):
+                    if through is None or through[u]:
+                        for _v, w in adj[u]:
+                            want += w
+                assert _weight_sum(g, dist, through) == want
 
     def test_first_scan_matches_full_run(self, tiny_tokyo):
         ds = tiny_tokyo

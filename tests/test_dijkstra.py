@@ -10,11 +10,12 @@ from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs.dijkstra import (
     dijkstra,
     floyd_warshall_reference,
-    multi_source_to_targets,
     settle,
     settle_below,
+    settle_to,
 )
 from repro.graphs.generator import graph_from_edges, road_network
+from tests.conftest import multi_source_to_targets
 
 INF = float("inf")
 
@@ -177,6 +178,19 @@ def _small_worlds(draw):
     return g, marks, through
 
 
+# Core vertices joined by a chain and by a direct edge, parallel edges, a
+# dead-end branch, a core-less cycle, a core-less path and (vertex 16) an
+# isolated vertex.
+_EVERY_SHAPE = [
+    (0, 1, 1.0), (0, 2, 2.0), (0, 3, 1.0),  # 0 and 3 are core
+    (1, 4, 1.0), (4, 3, 2.0),  # chain 0-1-4-3
+    (2, 5, 1.0), (5, 6, 1.0),  # dead-end branch 0-2-5-6
+    (3, 7, 1.0), (3, 7, 1.0), (3, 8, 2.0), (8, 9, 1.0), (9, 3, 1.0),  # parallel edges, loop at 3
+    (10, 11, 1.0), (11, 12, 2.0), (12, 10, 1.0),  # core-less cycle
+    (13, 14, 2.0), (14, 15, 1.0),  # core-less path
+]
+
+
 class TestSettleBelow:
     """The chain-compressed budgeted search against the settle-order scan."""
 
@@ -190,15 +204,7 @@ class TestSettleBelow:
         """One hand-built graph with every shape: core vertices joined by a
         chain and by a direct edge, parallel edges, a dead-end branch, a
         core-less cycle, a core-less path and an isolated vertex."""
-        edges = [
-            (0, 1, 1.0), (0, 2, 2.0), (0, 3, 1.0),  # 0 and 3 are core
-            (1, 4, 1.0), (4, 3, 2.0),  # chain 0-1-4-3
-            (2, 5, 1.0), (5, 6, 1.0),  # dead-end branch 0-2-5-6
-            (3, 7, 1.0), (3, 7, 1.0), (3, 8, 2.0), (8, 9, 1.0), (9, 3, 1.0),  # parallel edges, loop at 3
-            (10, 11, 1.0), (11, 12, 2.0), (12, 10, 1.0),  # core-less cycle
-            (13, 14, 2.0), (14, 15, 1.0),  # core-less path
-        ]
-        g = graph_from_edges(17, edges, {})
+        g = graph_from_edges(17, _EVERY_SHAPE, {})
         marks = {1: 0.5, 4: 1.0, 5: 1.0, 6: 0.25, 7: 0.5, 9: 1.0, 11: 1.0, 12: 0.5, 14: 1.0, 15: 0.25}
         mask = bytes(marks.get(v) != 1.0 for v in range(17)) if through == "perfect" else None
         _assert_matches_reference(g, marks, mask)
@@ -221,6 +227,56 @@ class TestSettleBelow:
                 assert end is None and len(adj[steps[-1][0]]) == 1 or end[0] in core
                 covered.update(v for v, _w in steps)
         assert covered == set(range(g.n_vertices))
+
+
+@st.composite
+def _target_searches(draw):
+    """A ``_small_worlds`` graph with one to three sources (any vertex: core,
+    chain interior or leaf) and any target set, sources included."""
+    g = draw(_small_worlds())[0]
+    vertex = st.integers(0, g.n_vertices - 1)
+    return g, draw(st.lists(vertex, min_size=1, max_size=3)), draw(st.sets(vertex))
+
+
+def _filtered_settle(g, sources, targets):
+    return [(d, u) for d, u, _p in settle(g, sources) if u in targets]
+
+
+class TestSettleTo:
+    """The target-only search against ``settle`` filtered to the targets."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_target_searches())
+    def test_matches_filtered_settle(self, search):
+        g, sources, targets = search
+        assert list(settle_to(g, sources, targets)) == _filtered_settle(g, sources, targets)
+
+    def test_every_chain_shape(self):
+        """Every source and every pair of sources on the hand-built graph,
+        towards all vertices and towards every other one."""
+        g = graph_from_edges(17, _EVERY_SHAPE, {})
+        n = g.n_vertices
+        for sources in [[s] for s in range(n)] + [[a, b] for a in range(n) for b in range(a + 1, n)]:
+            for targets in (set(range(n)), set(range(0, n, 2)), set(range(1, n, 2))):
+                assert list(settle_to(g, sources, targets)) == _filtered_settle(g, sources, targets)
+
+    def test_preset_pois(self, graphs):
+        """A generated road network: from every vertex towards all PoIs,
+        and from a third of the PoIs at once."""
+        g = graphs[0]
+        pois = {int(p) for p in g.poi_ids}
+        for s in range(g.n_vertices):
+            assert list(settle_to(g, [s], pois)) == _filtered_settle(g, [s], pois)
+        srcs = sorted(pois)[::3]
+        assert list(settle_to(g, srcs, pois)) == _filtered_settle(g, srcs, pois)
+
+    def test_zero_weight_tie_order(self):
+        """With a zero-weight edge tied targets come out in vertex-id order:
+        the walk out of 0 reaches 5 and 2 at once, where ``settle``
+        discovers 2 only after 5 settles.  No preset has a zero weight."""
+        g = graph_from_edges(6, [(0, 5, 1.0), (5, 2, 0.0), (0, 3, 1.0)], {})
+        assert _filtered_settle(g, [0], {2, 3, 5}) == [(1.0, 3), (1.0, 5), (1.0, 2)]
+        assert list(settle_to(g, [0], {2, 3, 5})) == [(1.0, 2), (1.0, 3), (1.0, 5)]
 
 
 class TestMultiSource:

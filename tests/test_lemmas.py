@@ -16,7 +16,7 @@ from repro.core.dominance import SkylineSet, dominates
 from repro.core.query import QueryContext
 from repro.core.scores import route_scores
 from repro.graphs.dijkstra import dijkstra
-from tests.conftest import random_query
+from tests.conftest import multi_source_to_targets, random_query
 
 
 def _sequenced_routes(ctx, max_total=400):
@@ -118,8 +118,6 @@ class TestLemma55SwapDominance:
 class TestLemma59MultiSourceDijkstra:
     @pytest.mark.parametrize("seed", range(3))
     def test_first_settled_target_is_global_min(self, random_world_factory, seed):
-        from repro.graphs.dijkstra import multi_source_to_targets
-
         g, f, rng = random_world_factory(seed, n_road=50, n_pois=30)
         srcs = [int(p) for p in g.poi_ids[:4]]
         tgts = [int(p) for p in g.poi_ids[-4:]]
