@@ -1,27 +1,17 @@
 """Table 6 benchmark: per-algorithm runtime at |S_q|=4 with traced peak
 memory recorded in extra_info (the RSS analogue)."""
+from functools import partial
+
 import pytest
 
-from repro.baselines.naive import naive_skysr
-from repro.core.bssr import BSSROptions, bssr
-from repro.tables.common import timed_with_peak
+from repro.tables.common import ENGINES, traced_peak_mb
 
 
-def _runner(algo, ds, q):
-    if algo == "bssr":
-        return lambda: bssr(ds.graph, ds.forest, q.v_q, list(q.seq_cats))
-    if algo == "bssr_noopt":
-        return lambda: bssr(ds.graph, ds.forest, q.v_q, list(q.seq_cats), options=BSSROptions.none())
-    if algo == "pne":
-        return lambda: naive_skysr(ds.graph, ds.forest, q.v_q, list(q.seq_cats), engine="pne")
-    return lambda: naive_skysr(ds.graph, ds.forest, q.v_q, list(q.seq_cats), engine="dijkstra")
-
-
-@pytest.mark.parametrize("algo", ["bssr", "bssr_noopt", "pne", "dij"])
+@pytest.mark.parametrize("algo", list(ENGINES))
 def test_table6_memory(benchmark, bench_world_small, bench_queries_small, algo):
     ds = bench_world_small
     q = bench_queries_small[4][0]
-    fn = _runner(algo, ds, q)
-    _out, _secs, peak_mb = timed_with_peak(fn)
+    fn = partial(ENGINES[algo], ds, q)
+    peak_mb = traced_peak_mb(fn)
     benchmark.pedantic(fn, rounds=1, iterations=1)
     benchmark.extra_info["peak_mb"] = round(peak_mb, 3)

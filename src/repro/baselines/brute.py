@@ -30,18 +30,17 @@ def brute_force_skysr(
     max_candidates: int = 2_000_000,
 ) -> list[tuple[float, float, tuple[int, ...]]]:
     ctx = QueryContext(graph, forest, v_q, seq_cats, destination)
-    match_sets = [list(map(int, ctx.tree_pois[i])) for i in range(ctx.k)]
+    match_sets = [list(ctx.match_sims[i]) for i in range(ctx.k)]
     n_combo = 1
     for m in match_sets:
         n_combo *= max(len(m), 1)
     if n_combo > max_candidates:
         raise ValueError(f"{n_combo} combinations — graph too large for brute force")
 
-    # Distance rows from v_q and every PoI that can appear; the destination
-    # needs distances *to* it, i.e. one reverse Dijkstra (§6 variant).
+    # Distance rows from v_q and every PoI that can appear; the §6
+    # destination leg reads the context's distances *to* the destination.
     sources = {v_q} | {p for m in match_sets for p in m}
     rows = {s: dijkstra(graph, s) for s in sources}
-    dest_row = dijkstra(graph, destination, reverse=True) if destination is not None else None
 
     out = []
     for combo in itertools.product(*match_sets):
@@ -52,8 +51,8 @@ def brute_force_skysr(
         for p in combo[1:]:
             length += float(rows[prev][p])
             prev = p
-        if destination is not None:
-            length += float(dest_row[prev])
+        if ctx.dest_dist is not None:
+            length += float(ctx.dest_dist[prev])
         if not np.isfinite(length):
             continue
         prod = 1.0

@@ -35,14 +35,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.core.query import pairwise_disjoint
 from repro.graphs.dijkstra import settle_to
 from repro.graphs.dijkstra import dijkstra  # noqa: F401  (perfbench's tracer wraps this module's name)
 from repro.graphs.generator import Graph
-
-
-def _match_trees_distinct(match_sets: Sequence[np.ndarray]) -> bool:
-    sets = [frozenset(int(p) for p in m) for m in match_sets]
-    return all(not (sets[i] & sets[j]) for i in range(len(sets)) for j in range(i + 1, len(sets)))
 
 
 def osr_dijkstra(
@@ -65,7 +61,7 @@ def osr_dijkstra(
     if any(len(m) == 0 for m in match_sets):
         return None
     members = [frozenset(int(p) for p in m) for m in match_sets]
-    dedup_ok = _match_trees_distinct(match_sets)
+    dedup_ok = pairwise_disjoint(members)
     indptr, indices, weights = graph.csr()
 
     heap: list[tuple[float, int, int, int, tuple[int, ...]]] = [(0.0, 0, v_q, 0, ())]

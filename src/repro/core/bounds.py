@@ -73,8 +73,8 @@ def _pois_in_range(ctx: QueryContext, threshold0: float) -> tuple[list[list[int]
     """Each position's semantic and perfect matches closer to ``v_q`` than
     ``threshold0`` (Algorithm 4 lines 3–4).  The range ball is released on
     return, before the leg searches run."""
-    tree = [ps.tolist() for ps in ctx.tree_pois]
-    perfect = [ps.tolist() for ps in ctx.perfect_pois]
+    tree = [list(ctx.match_sims[i]) for i in range(ctx.k)]
+    perfect = [ctx.perfect(i) for i in range(ctx.k)]
     if np.isfinite(threshold0):
         near = settle_below(ctx.graph, ctx.v_q, threshold0)[0]
         tree = [[p for p in ps if p in near] for ps in tree]

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.bounds import MinDistBounds
 from repro.core.dominance import SkylineSet, score_key
-from repro.core.nninit import nninit, nninit_ratio, _destination_distances
+from repro.core.nninit import nninit, nninit_ratio
 from repro.core.query import QueryContext
 from repro.core.scores import PartialRoute
 from repro.graphs.categories import CategoryForest
@@ -155,6 +155,14 @@ def _weight_sum(g: Graph, dist: dict[int, float], through: bytes | None) -> floa
     return total
 
 
+def _no_perfect(n_vertices: int, perfect: list[int]) -> bytes:
+    """``through`` bytes for one position: 0 at each perfect match, 1 elsewhere."""
+    through = bytearray(b"\x01") * n_vertices
+    for v in perfect:
+        through[v] = 0
+    return bytes(through)
+
+
 class _BSSRRun:
     def __init__(
         self,
@@ -174,12 +182,12 @@ class _BSSRRun:
         # Lemma 5.5-ii: the modified Dijkstra never passes a perfect match.
         # One byte per vertex (0 = perfect match), indexed like a list.
         self.through = [
-            (a != 1.0).tobytes() if self.ctx.trees_distinct else None for a in self.ctx.sim_arrs
+            _no_perfect(graph.n_vertices, self.ctx.perfect(pos)) if self.ctx.trees_distinct else None
+            for pos in range(self.ctx.k)
         ]
         self.cache: dict[tuple[int, int], _CacheEntry] = {}
         self.S = SkylineSet()
         self.bounds = MinDistBounds.zeros(self.ctx.k)
-        self.dest_dist = _destination_distances(self.ctx)
         self.heap: list[tuple[tuple, int, PartialRoute]] = []
         self._push_seq = 0
 
@@ -264,7 +272,8 @@ class _BSSRRun:
             new_prod = r.sim_product * sim_u
             size_t = pos + 1
             if size_t == k:
-                final_len = new_len + (float(self.dest_dist[u]) if self.dest_dist is not None else 0.0)
+                dest_dist = self.ctx.dest_dist
+                final_len = new_len + (float(dest_dist[u]) if dest_dist is not None else 0.0)
                 self.S.update(final_len, 1.0 - new_prod, r.pois + (u,))
             else:
                 if self._prunable(size_t, new_len, new_prod):

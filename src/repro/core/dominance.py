@@ -78,7 +78,11 @@ class SkylineSet:
 
     def update(self, l: float, s: float, payload: Any) -> bool:
         """``S.update(R)`` — insert unless dominated/equivalent; evict any
-        entries the newcomer dominates.  Returns True when inserted."""
+        entries the newcomer dominates.  Returns True when inserted.  An
+        infinite ``l`` is no route (its §6 destination leg is unreachable)
+        and is never inserted."""
+        if l == INF:
+            return False
         self.updates += 1
         i = bisect.bisect_right(self.entries, (s + _EPS, INF, None))
         # Frontier lengths decrease with s, so the tightest competitor with
@@ -106,6 +110,3 @@ class SkylineSet:
         if i == 0:
             return INF
         return self.entries[i - 1][1]
-
-    def best_scores(self) -> list[tuple[float, float]]:
-        return [(l, s) for (s, l, _p) in self.entries]

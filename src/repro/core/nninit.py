@@ -1,23 +1,28 @@
 """NNinit — the initial search of §5.3.1 (Algorithm 3).
 
-Greedily chains nearest *perfect* matches: one Dijkstra per position, each
-restarted from the PoI just found.  During the final position's search every
-semantically matching PoI settled before the perfect one also completes a
-sequenced route, so NNinit returns several routes — one with semantic score
-0 (the branch-and-bound seed for ``l̄(φ)``) plus shorter, semantically looser
-ones — at the cost of ``|S_q|`` plain Dijkstra runs.
+Greedily chains nearest *perfect* matches: one search per position, each
+started from the PoI just found and stopped at the first perfect match it
+settles.  The searches run on :func:`~repro.graphs.dijkstra.settle_to`, so
+only the position's matches (``QueryContext.match_sims``) are yielded.
+During the final position's search every semantically matching PoI settled
+before the perfect one also completes a sequenced route, so NNinit returns
+several routes — one with semantic score 0 (the branch-and-bound seed for
+``l̄(φ)``) plus shorter, semantically looser ones — at the cost of at most
+``|S_q|`` searches.
+
+With a §6 destination, each completed route's length includes the leg to
+the destination, read from ``QueryContext.dest_dist``.
 
 If some position has no reachable perfect match the search aborts and
 returns whatever it found; BSSR stays exact (thresholds just start at inf).
 """
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.dominance import SkylineSet
 from repro.core.query import QueryContext
 from repro.core.scores import semantic_score
-from repro.graphs.dijkstra import dijkstra, settle_to
+from repro.graphs.dijkstra import settle_to
+from repro.graphs.dijkstra import dijkstra  # noqa: F401  (perfbench's tracer wraps this module's name)
 
 
 def nninit(ctx: QueryContext) -> SkylineSet:
@@ -26,7 +31,7 @@ def nninit(ctx: QueryContext) -> SkylineSet:
     route: tuple[int, ...] = ()
     total_len = 0.0
     start = ctx.v_q
-    dest_extra = _destination_distances(ctx)
+    dest_extra = ctx.dest_dist
 
     for i in range(ctx.k):
         sim = ctx.match_sims[i]
@@ -62,13 +67,3 @@ def nninit_ratio(S: SkylineSet) -> float:
     loosest = max(rows, key=lambda r: r[1])
     return loosest[0] / perfect[0] if perfect[0] > 0 else 1.0
 
-
-def _destination_distances(ctx: QueryContext) -> np.ndarray | None:
-    """Distances from every vertex *to* the destination (§6 variant).
-
-    One reverse Dijkstra from the destination: on undirected graphs this is
-    the plain search; on directed ones it walks in-edges.
-    """
-    if ctx.destination is None:
-        return None
-    return dijkstra(ctx.graph, ctx.destination, reverse=True)

@@ -3,7 +3,8 @@
 A route ``R = <p_1 ... p_k>`` for query ``(v_q, S_q)`` has
 
 * length score ``l(R) = D(v_q, p_1) + sum_i D(p_i, p_{i+1})`` — network
-  shortest-path legs, and
+  shortest-path legs, plus ``D(p_k, v_d)`` for a §6 destination ``v_d``,
+  and
 * semantic score ``s(R) = 1 - prod_i sim(c_{p_i}, c_{S_q}[i])`` — one minus
   the product of Wu–Palmer similarities (Eq. 7), so a perfectly matching
   route scores 0 and anything semantically looser scores more.
@@ -63,14 +64,17 @@ def route_scores(
     v_q: int,
     seq_cats: list[int],
     route: tuple[int, ...],
+    *,
+    destination: int | None = None,
 ) -> tuple[float, float]:
     """Recompute ``(l(R), s(R))`` from scratch — the slow, obviously-correct
     path used by tests (never by BSSR itself).  Similarities come from
     :class:`QueryContext`, so a §6 multi-category PoI scores through its
-    best category, as in every engine."""
+    best category, as in every engine.  With a §6 ``destination``, the
+    length includes the leg from the last PoI to it."""
     if len(route) != len(seq_cats):
         raise ValueError("route and category sequence sizes differ (Def. 3.4-i)")
-    ctx = QueryContext(graph, forest, v_q, list(seq_cats))
+    ctx = QueryContext(graph, forest, v_q, list(seq_cats), destination)
     total = 0.0
     prev = v_q
     prod = 1.0
@@ -79,6 +83,8 @@ def route_scores(
         total += float(d)
         prod *= ctx.sim_at(pos, poi)
         prev = poi
+    if ctx.dest_dist is not None:
+        total += float(ctx.dest_dist[prev])
     return total, semantic_score(prod)
 
 

@@ -42,7 +42,7 @@ from pyspark.sql.window import Window
 
 from repro.core.bounds import MinDistBounds
 from repro.core.dominance import _EPS, SkylineSet, score_key
-from repro.core.nninit import nninit, _destination_distances
+from repro.core.nninit import nninit
 from repro.core.query import QueryContext
 from repro.graphs.categories import CategoryForest
 from repro.graphs.generator import Dataset, Graph
@@ -120,7 +120,6 @@ def skysr_spark(
     # --- local seeding: NNinit upper bounds + minimum-distance lower bounds
     S0 = nninit(ctx)
     bounds = MinDistBounds.compute(ctx, S0.threshold(0.0))
-    dest_dist = _destination_distances(ctx)
     # Eq. 3 threshold at a row's best possible semantic score s_(R) = 1 - prod.
     thresh = threshold_col(S0, F.lit(1.0) - F.col("prod"))
 
@@ -156,9 +155,11 @@ def skysr_spark(
         )
         match_rows, match_schema = list(matches.items()), "vertex LONG, sim DOUBLE"
         new_length = F.col("length") + F.col("dist")
-        if pos == k - 1 and dest_dist is not None:
-            # §6 destination leg: only the last position's matches end a route.
-            match_rows = [(u, sim, float(dest_dist[u])) for u, sim in match_rows]
+        if pos == k - 1 and ctx.dest_dist is not None:
+            # §6 destination leg: only the last position's matches that reach
+            # the destination end a route.
+            dd = ctx.dest_dist
+            match_rows = [(u, sim, float(dd[u])) for u, sim in match_rows if dd[u] < INF]
             match_schema += ", dd DOUBLE"
             new_length = new_length + F.col("dd")
         match_df = spark.createDataFrame(match_rows, match_schema)

@@ -12,13 +12,26 @@ from __future__ import annotations
 
 import os
 import sys
-import time
 import tracemalloc
 from collections.abc import Callable
 
+from repro.baselines.naive import naive_skysr
+from repro.core.bssr import BSSROptions, bssr
 from repro.graphs.generator import Dataset, dataset
+from repro.workloads import Query
 
 DATASETS = ["tokyo-lite", "nyc-lite", "cal-lite"]
+
+# The engines Table 6 and Fig. 3 compare, by the paper's names: each answers
+# one query on a dataset.
+ENGINES: dict[str, Callable[[Dataset, Query], object]] = {
+    "BSSR": lambda ds, q: bssr(ds.graph, ds.forest, q.v_q, list(q.seq_cats)),
+    "BSSR w/o Opt": lambda ds, q: bssr(
+        ds.graph, ds.forest, q.v_q, list(q.seq_cats), options=BSSROptions.none()
+    ),
+    "PNE": lambda ds, q: naive_skysr(ds.graph, ds.forest, q.v_q, list(q.seq_cats), engine="pne"),
+    "Dij": lambda ds, q: naive_skysr(ds.graph, ds.forest, q.v_q, list(q.seq_cats), engine="dijkstra"),
+}
 
 _ds_cache: dict[tuple[str, float], Dataset] = {}
 
@@ -75,17 +88,17 @@ def graph_mem_mb(ds: Dataset) -> float:
     return total / 1e6
 
 
-def timed_with_peak(fn: Callable[[], object]) -> tuple[object, float, float]:
-    """Run ``fn`` returning (result, seconds, traced peak MB)."""
+def traced_peak_mb(fn: Callable[[], object]) -> float:
+    """Run ``fn`` under ``tracemalloc``; returns the traced peak in MB.
+    Tracing slows the engines unevenly, so nothing is timed here: Fig. 3
+    reports untraced response times."""
     tracemalloc.start()
-    t0 = time.perf_counter()
     try:
-        out = fn()
-        secs = time.perf_counter() - t0
+        fn()
         _cur, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return out, secs, peak / 1e6
+    return peak / 1e6
 
 
 def fmt_table(rows: list[dict], columns: list[str]) -> str:

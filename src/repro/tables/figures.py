@@ -14,12 +14,11 @@ import time
 
 import numpy as np
 
-from repro.baselines.naive import naive_skysr
 from repro.core.bounds import MinDistBounds
 from repro.core.bssr import BSSROptions, bssr
 from repro.core.nninit import nninit
 from repro.core.query import QueryContext
-from repro.tables.common import DATASETS, env_queries, env_scale, get_dataset
+from repro.tables.common import DATASETS, ENGINES, env_queries, env_scale, get_dataset
 from repro.workloads import make_queries
 
 
@@ -29,7 +28,6 @@ def fig3_rows(
     n_queries: int | None = None,
     sizes=(2, 3, 4),
     spark=None,
-    include_baselines: bool = True,
 ) -> list[dict]:
     """Mean response time (ms) per algorithm.  Baselines blow up in |S_q|
     exactly like the paper's Fig. 3 (their |S_q|=5 bars are missing after a
@@ -49,17 +47,8 @@ def fig3_rows(
                     fn(q)
                 return round((time.perf_counter() - t0) / len(queries) * 1e3, 1)
 
-            row["BSSR"] = mean_ms(lambda q: bssr(ds.graph, ds.forest, q.v_q, list(q.seq_cats)))
-            row["BSSR w/o Opt"] = mean_ms(
-                lambda q: bssr(ds.graph, ds.forest, q.v_q, list(q.seq_cats), options=BSSROptions.none())
-            )
-            if include_baselines:
-                row["PNE"] = mean_ms(
-                    lambda q: naive_skysr(ds.graph, ds.forest, q.v_q, list(q.seq_cats), engine="pne")
-                )
-                row["Dij"] = mean_ms(
-                    lambda q: naive_skysr(ds.graph, ds.forest, q.v_q, list(q.seq_cats), engine="dijkstra")
-                )
+            for algo, run in ENGINES.items():
+                row[algo] = mean_ms(lambda q: run(ds, q))
             if spark is not None:
                 from repro.core.skysr_spark import skysr_spark
 

@@ -9,15 +9,14 @@ sits above BSSR.
 """
 from __future__ import annotations
 
-from repro.baselines.naive import naive_skysr
-from repro.core.bssr import BSSROptions, bssr
 from repro.tables.common import (
     DATASETS,
+    ENGINES,
     env_queries,
     env_scale,
     get_dataset,
     graph_mem_mb,
-    timed_with_peak,
+    traced_peak_mb,
 )
 from repro.workloads import make_queries
 
@@ -27,20 +26,7 @@ PAPER_RSS_MB = {
     "cal-lite": {"BSSR": 36.7, "BSSR w/o Opt": 53.7, "PNE": 36.6, "Dij": 70.3},
 }
 
-ALGOS = ["BSSR", "BSSR w/o Opt", "PNE", "Dij"]
-
-
-def _run(algo: str, ds, q) -> None:
-    if algo == "BSSR":
-        bssr(ds.graph, ds.forest, q.v_q, list(q.seq_cats))
-    elif algo == "BSSR w/o Opt":
-        bssr(ds.graph, ds.forest, q.v_q, list(q.seq_cats), options=BSSROptions.none())
-    elif algo == "PNE":
-        naive_skysr(ds.graph, ds.forest, q.v_q, list(q.seq_cats), engine="pne")
-    elif algo == "Dij":
-        naive_skysr(ds.graph, ds.forest, q.v_q, list(q.seq_cats), engine="dijkstra")
-    else:
-        raise KeyError(algo)
+ALGOS = list(ENGINES)
 
 
 def rows(*, scale: float | None = None, n_queries: int | None = None, size: int = 4) -> list[dict]:
@@ -57,13 +43,11 @@ def rows(*, scale: float | None = None, n_queries: int | None = None, size: int 
         for algo in ALGOS:
             def batch():
                 for q in queries:
-                    _run(algo, ds, q)
-            _out, secs, peak_mb = timed_with_peak(batch)
-            row[algo] = round(g_mb + peak_mb, 1)
+                    ENGINES[algo](ds, q)
+            row[algo] = round(g_mb + traced_peak_mb(batch), 1)
             row[f"{algo} paper"] = PAPER_RSS_MB[name][algo]
-            row[f"{algo} s/query"] = round(secs / len(queries), 3)
         out.append(row)
     return out
 
 
-COLUMNS = ["Dataset", "graph MB"] + [c for a in ALGOS for c in (a, f"{a} paper", f"{a} s/query")]
+COLUMNS = ["Dataset", "graph MB"] + [c for a in ALGOS for c in (a, f"{a} paper")]

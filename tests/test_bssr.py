@@ -10,11 +10,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.graphs.dijkstra as dijkstra_mod
 from repro.baselines.brute import brute_force_skysr, score_set
 from repro.core.bssr import _CHUNK, BSSROptions, _weight_sum, bssr, bssr_first_scan
 from repro.core.scores import is_sequenced_route, route_scores
+from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs.dijkstra import settle_below
+from repro.graphs.generator import graph_from_edges
 from tests.conftest import random_query
 
 ALL_FLAG_COMBOS = [
@@ -77,6 +82,85 @@ class TestExactnessRandomized:
         want = score_set(brute_force_skysr(g, f, v_q, cats, destination=dest))
         got = bssr(g, f, v_q, cats, destination=dest)
         assert got.score_set() == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_destination_routes_rescore_exactly(self, random_world_factory, seed):
+        """``route_scores`` adds the same destination leg BSSR adds."""
+        g, f, rng = random_world_factory(seed)
+        v_q, cats = random_query(g, f, rng, 2)
+        dest = int(rng.integers(0, g.n_road))
+        for l, s, r in bssr(g, f, v_q, cats, destination=dest).routes:
+            assert route_scores(g, f, v_q, cats, r, destination=dest) == pytest.approx((l, s))
+
+    def test_destination_runs_one_reverse_search(self, tiny_tokyo, monkeypatch):
+        """The §6 destination leg is one reverse search per query, shared by
+        NNinit and the main search."""
+        ds = tiny_tokyo
+        v_q, cats = random_query(ds.graph, ds.forest, np.random.default_rng(7), 2)
+        settle, reverse_calls = dijkstra_mod.settle, []
+
+        def spy(*args, **kwargs):
+            if kwargs.get("reverse"):
+                reverse_calls.append(args[1])
+            return settle(*args, **kwargs)
+
+        monkeypatch.setattr(dijkstra_mod, "settle", spy)
+        bssr(ds.graph, ds.forest, v_q, cats, destination=92)
+        assert reverse_calls == [(92,)]
+
+    def test_unreachable_destination_gives_no_route(self):
+        """A route whose destination leg is unreachable has no finite length,
+        so it is no result (brute force skips it too)."""
+        f = foursquare_lite_forest()
+        leaf = f.leaves_of_tree(0)[0]
+        g = graph_from_edges(3, [(0, 1, 1.0)], {1: leaf})
+        assert brute_force_skysr(g, f, 0, [leaf], destination=2) == []
+        for opts in ALL_FLAG_COMBOS:
+            assert bssr(g, f, 0, [leaf], options=opts, destination=2).routes == []
+
+
+_FOREST = foursquare_lite_forest()
+# Categories of two trees at every depth, so a match can be perfect, a
+# sibling, an ancestor or a cousin.
+_FUZZ_CATS = sorted(
+    {
+        a
+        for t in (0, 1)
+        for leaf in (*_FOREST.leaves_of_tree(t)[:2], _FOREST.leaves_of_tree(t)[-1])
+        for a in _FOREST.ancestors(leaf)
+    }
+)
+
+
+@st.composite
+def _skysr_worlds(draw):
+    """Random small worlds for the differential test: multigraphs with
+    weights 1-4 (so ties are common), directed or not, PoIs with §6 extra
+    categories, an ``S_q`` of up to three categories from two trees (so
+    trees repeat), and an optional destination.  Returns ``(graph, v_q,
+    seq_cats, destination)``."""
+    n = draw(st.integers(1, 9))
+    vertex = st.integers(0, n - 1)
+    cat = st.sampled_from(_FUZZ_CATS)
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 4)), max_size=2 * n))
+    g = graph_from_edges(
+        n,
+        [(u, v, float(w)) for u, v, w in edges],
+        draw(st.dictionaries(vertex, cat)),
+        directed=draw(st.booleans()),
+        extra_cats=draw(st.dictionaries(vertex, st.lists(cat, min_size=1, max_size=2), max_size=3)),
+    )
+    return g, draw(vertex), draw(st.lists(cat, min_size=1, max_size=3)), draw(st.none() | vertex)
+
+
+class TestDifferentialFuzz:
+    @settings(max_examples=1500, deadline=None)
+    @given(_skysr_worlds())
+    def test_every_flag_combo_equals_brute_force(self, world):
+        g, v_q, cats, dest = world
+        want = score_set(brute_force_skysr(g, _FOREST, v_q, cats, destination=dest))
+        for opts in ALL_FLAG_COMBOS:
+            assert bssr(g, _FOREST, v_q, cats, options=opts, destination=dest).score_set() == want, opts
 
 
 class TestOutputValidity:

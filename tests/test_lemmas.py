@@ -21,7 +21,7 @@ from tests.conftest import multi_source_to_targets, random_query
 
 def _sequenced_routes(ctx, max_total=400):
     """Enumerate some sequenced routes (prefix-closed) for lemma checks."""
-    match = [list(map(int, ctx.tree_pois[i]))[:6] for i in range(ctx.k)]
+    match = [list(ctx.match_sims[i])[:6] for i in range(ctx.k)]
     out = []
     for combo in itertools.islice(
         (c for c in itertools.product(*match) if len(set(c)) == len(c)), max_total
@@ -81,7 +81,7 @@ class TestLemma58PerfectMatchBound:
         v_q, cats = random_query(g, f, rng, 3)
         ctx = QueryContext(g, f, v_q, cats)
         b = MinDistBounds.compute(ctx)
-        perfect = [list(map(int, ctx.perfect_pois[i]))[:5] for i in range(ctx.k)]
+        perfect = [ctx.perfect(i)[:5] for i in range(ctx.k)]
         if any(not p for p in perfect):
             pytest.skip("no perfect matches at some position")
         rows = {p: dijkstra(g, p) for ps in perfect for p in ps}

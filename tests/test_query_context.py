@@ -1,9 +1,12 @@
-"""QueryContext — the per-query dense match/similarity tables."""
+"""QueryContext — the per-query match table."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.baselines.brute import brute_force_skysr
+from repro.baselines.naive import naive_skysr
+from repro.core.bssr import bssr
 from repro.core.query import QueryContext
 from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs.generator import road_network
@@ -34,7 +37,7 @@ class TestMatchTables:
         v_q, cats = random_query(g, f, rng, 2)
         ctx = QueryContext(g, f, v_q, cats)
         for i in range(ctx.k):
-            assert (ctx.sim_arrs[i][: g.n_road] == 0).all()
+            assert all(v >= g.n_road for v in ctx.match_sims[i])
 
     def test_perfect_subset_of_tree(self, world):
         g, f = world
@@ -42,9 +45,9 @@ class TestMatchTables:
         v_q, cats = random_query(g, f, rng, 3)
         ctx = QueryContext(g, f, v_q, cats)
         for i in range(ctx.k):
-            assert set(ctx.perfect_pois[i]) <= set(ctx.tree_pois[i])
-            for p in ctx.perfect_pois[i]:
-                assert ctx.is_perfect(i, int(p))
+            assert set(ctx.perfect(i)) <= set(ctx.match_sims[i])
+            for p in ctx.perfect(i):
+                assert ctx.sim_at(i, p) == 1.0
 
     def test_tree_pois_is_whole_tree(self, world):
         g, f = world
@@ -53,7 +56,7 @@ class TestMatchTables:
         ctx = QueryContext(g, f, v_q, cats)
         for i, c in enumerate(cats):
             want = set(int(p) for p in g.pois_of_tree(f, f.tree_id[c]))
-            assert set(int(p) for p in ctx.tree_pois[i]) == want
+            assert set(ctx.match_sims[i]) == want
 
 
 class TestGates:
@@ -97,7 +100,33 @@ class TestNonperfectBounds:
         v_q, cats = random_query(g, f, rng, 3)
         ctx = QueryContext(g, f, v_q, cats)
         for i in range(ctx.k):
-            sims = ctx.sim_arrs[i][ctx.tree_pois[i]]
+            sims = np.array(list(ctx.match_sims[i].values()))
             nonperf = sims[sims < 1.0]
             if len(nonperf):
                 assert nonperf.max() <= ctx.max_nonperfect[i] + 1e-12
+
+
+# Bad queries as (v_q, S_q, destination) for a graph g and forest f; category
+# 0 and vertex 0 are valid, so each query has exactly one fault.
+_BAD_QUERIES = {
+    "v_q-negative": (lambda g, f: (-1, [0], None), "v_q -1 is outside"),
+    "v_q-past-end": (lambda g, f: (g.n_vertices, [0], None), "v_q .* is outside"),
+    "destination-negative": (lambda g, f: (0, [0], -1), "destination -1 is outside"),
+    "destination-past-end": (lambda g, f: (0, [0], g.n_vertices), "destination .* is outside"),
+    "category-negative": (lambda g, f: (0, [0, -1], None), "category id -1 is outside"),
+    "category-past-end": (lambda g, f: (0, [f.n_categories], None), "category id .* is outside"),
+    "empty-S_q": (lambda g, f: (0, [], None), "empty category sequence"),
+}
+
+
+class TestValidation:
+    """Every engine builds a QueryContext, so each rejects the same bad query."""
+
+    @pytest.mark.parametrize("engine", [bssr, naive_skysr, brute_force_skysr])
+    @pytest.mark.parametrize("case", list(_BAD_QUERIES))
+    def test_bad_query_raises(self, world, engine, case):
+        g, f = world
+        make, message = _BAD_QUERIES[case]
+        v_q, cats, dest = make(g, f)
+        with pytest.raises(ValueError, match=message):
+            engine(g, f, v_q, cats, destination=dest)

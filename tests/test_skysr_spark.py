@@ -15,6 +15,8 @@ from repro.core.skysr_spark import (
     threshold_col,
 )
 from repro.core.scores import is_sequenced_route, route_scores
+from repro.graphs.categories import foursquare_lite_forest
+from repro.graphs.generator import graph_from_edges
 from tests.conftest import random_query
 
 
@@ -45,6 +47,17 @@ class TestPipelineExactness:
         want = bssr(ds.graph, ds.forest, v_q, cats, destination=dest).score_set()
         df = skysr_spark(spark, ds.graph, ds.forest, v_q, cats, destination=dest)
         assert skysr_spark_scores(df) == want
+
+    def test_unreachable_destination_gives_no_route(self, spark):
+        f = foursquare_lite_forest()
+        leaf = f.leaves_of_tree(0)[0]
+        g = graph_from_edges(3, [(0, 1, 1.0)], {1: leaf})
+        assert skysr_spark(spark, g, f, 0, [leaf], destination=2).collect() == []
+
+    def test_bad_query_raises(self, spark, tiny_tokyo):
+        ds = tiny_tokyo
+        with pytest.raises(ValueError, match="category id -1 is outside"):
+            skysr_spark(spark, ds.graph, ds.forest, 0, [-1])
 
     def test_routes_are_valid(self, spark, tiny_tokyo):
         ds = tiny_tokyo
@@ -102,17 +115,17 @@ class TestRelationalPieces:
         ctx = QueryContext(g, f, v_q, cats)
 
         dist_rows = []
-        for s in {v_q} | {int(p) for p in ctx.tree_pois[0]}:
+        for s in {v_q} | set(ctx.match_sims[0]):
             d = dijkstra(g, s)
-            for t in ctx.tree_pois[0].tolist() + ctx.tree_pois[1].tolist():
+            for t in list(ctx.match_sims[0]) + list(ctx.match_sims[1]):
                 if np.isfinite(d[t]):
                     dist_rows.append((s, int(t), float(d[t])))
         dists = pd.DataFrame(dist_rows, columns=["src", "dst", "d"]).drop_duplicates()
         m1 = pd.DataFrame(
-            {"poi": ctx.tree_pois[0], "sim": [ctx.sim_at(0, p) for p in ctx.tree_pois[0]]}
+            {"poi": list(ctx.match_sims[0]), "sim": [ctx.sim_at(0, p) for p in ctx.match_sims[0]]}
         )
         m2 = pd.DataFrame(
-            {"poi": ctx.tree_pois[1], "sim": [ctx.sim_at(1, p) for p in ctx.tree_pois[1]]}
+            {"poi": list(ctx.match_sims[1]), "sim": [ctx.sim_at(1, p) for p in ctx.match_sims[1]]}
         )
 
         sdf = (

@@ -105,7 +105,7 @@ class TestTable9:
 
 class TestFigures:
     def test_fig3_rows(self):
-        rows = figures.fig3_rows(scale=SCALE, n_queries=1, sizes=(2,), include_baselines=True)
+        rows = figures.fig3_rows(scale=SCALE, n_queries=1, sizes=(2,))
         assert len(rows) == 3
         for r in rows:
             assert r["BSSR"] > 0 and r["Dij"] > 0 and r["PNE"] > 0

@@ -107,7 +107,7 @@ class TestMultiCategoryPoIs:
         ctx = QueryContext(g, f, 0, [food[0]])
         assert ctx.sim_at(0, 3) == 1.0  # via extra category
         assert ctx.sim_at(0, 4) == 1.0
-        assert 3 in set(ctx.perfect_pois[0])
+        assert 3 in ctx.perfect(0)
 
     def test_bssr_matches_brute_with_extra_cats(self, world):
         g, f, food, shop = world
@@ -121,7 +121,7 @@ class TestMultiCategoryPoIs:
         switch Lemma 5.5/caching off (DESIGN.md §deviations-3)."""
         g, f, food, shop = world
         ctx = QueryContext(g, f, 0, [food[0], shop[1]])
-        assert 3 in set(ctx.tree_pois[0]) and 3 in set(ctx.tree_pois[1])
+        assert 3 in ctx.match_sims[0] and 3 in ctx.match_sims[1]
         assert not ctx.trees_distinct
 
     def test_distinct_gate_for_plain_queries(self, world):
