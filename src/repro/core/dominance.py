@@ -31,10 +31,6 @@ def dominates(a: tuple[float, float], b: tuple[float, float]) -> bool:
     return (la < lb - _EPS and sa <= sb + _EPS) or (sa < sb - _EPS and la <= lb + _EPS)
 
 
-def equivalent(a: tuple[float, float], b: tuple[float, float]) -> bool:
-    return abs(a[0] - b[0]) <= _EPS and abs(a[1] - b[1]) <= _EPS
-
-
 def skyline(items: list[tuple[float, float, Any]]) -> list[tuple[float, float, Any]]:
     """Minimal skyline of ``(l, s, payload)`` rows.
 

@@ -35,6 +35,7 @@ tests verify against local BSSR and brute force.
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
@@ -53,13 +54,19 @@ INF = float("inf")
 
 # ------------------------------------------------------------- table views
 def dataset_tables(spark: SparkSession, ds: Dataset) -> dict[str, DataFrame]:
-    """Relational view of a dataset: edges, pois, categories, ancestors."""
-    return {
-        "edges": spark.createDataFrame(ds.graph.edges_pandas()),
-        "pois": spark.createDataFrame(ds.graph.pois_pandas()),
-        "categories": spark.createDataFrame(ds.forest.to_pandas()),
-        "ancestors": spark.createDataFrame(ds.forest.ancestors_pandas()),
-    }
+    """Relational view of a dataset: ``edges (src, dst, w)``, one row per
+    edge, and ``pois (poi_id, cat_id)``."""
+    g = ds.graph
+    ids = g.poi_ids
+    edges = pd.DataFrame(
+        {
+            "src": g.edges_u.astype(np.int64),
+            "dst": g.edges_v.astype(np.int64),
+            "w": g.edges_w.astype(np.float64),
+        }
+    )
+    pois = pd.DataFrame({"poi_id": ids.astype(np.int64), "cat_id": g.cat_of[ids].astype(np.int64)})
+    return {"edges": spark.createDataFrame(edges), "pois": spark.createDataFrame(pois)}
 
 
 def threshold_col(S: SkylineSet, s: Column) -> Column:

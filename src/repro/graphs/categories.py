@@ -20,9 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-import pandas as pd
-
 
 @dataclass
 class CategoryForest:
@@ -126,33 +123,6 @@ class CategoryForest:
                 if s < 1.0 and s > best:
                     best = s
         return best
-
-    # ------------------------------------------------------------- tabular
-    def to_pandas(self) -> pd.DataFrame:
-        """Relational view ``(cat_id, parent_id, tree_id, depth, name)``."""
-        return pd.DataFrame(
-            {
-                "cat_id": np.arange(self.n_categories, dtype=np.int64),
-                "parent_id": np.asarray(self.parent, dtype=np.int64),
-                "tree_id": np.asarray(self.tree_id, dtype=np.int64),
-                "depth": np.asarray(self.depth, dtype=np.int64),
-                "name": self.name,
-            }
-        )
-
-    def ancestors_pandas(self) -> pd.DataFrame:
-        """Ancestor closure ``(cat_id, anc_id, anc_depth)`` incl. self rows.
-
-        Joining the closures of two categories on ``anc_id`` and taking the
-        deepest shared row gives their LCA, the relational form of Eq. 6.
-        """
-        rows = []
-        for c in range(self.n_categories):
-            for a in self.ancestors(c):
-                rows.append((c, a, self.depth[a]))
-        return pd.DataFrame(rows, columns=["cat_id", "anc_id", "anc_depth"]).astype(
-            {"cat_id": np.int64, "anc_id": np.int64, "anc_depth": np.int64}
-        )
 
 
 # ------------------------------------------------------------ constructors

@@ -7,7 +7,8 @@ Every vertex-graph search in the program runs on one of three kernels:
   vertex through the heap.  The caller decides when to stop (leaving the
   loop ends the search before the last yielded vertex is relaxed), and
   ``through`` marks the vertices whose edges are never relaxed.  It serves
-  :func:`dijkstra` and is the tests' reference for the other two.
+  :func:`dijkstra` and, on a graph with a zero-weight edge,
+  :func:`settle_below`, and is the tests' reference for the other two.
 * :func:`settle_below` — the whole ball below a distance budget, from one
   source, with ``settle``'s ``through`` rule and stop value.  It serves the
   budgeted searches that need every distance in the ball but no order:
@@ -110,13 +111,25 @@ def settle_below(
     A vertex ``u`` with ``through[u]`` false is reached but never walked
     past.  Only core vertices of ``graph.chains()`` enter the heap; the
     chains between them are walked with stepwise sums, so every distance is
-    bit-identical to :func:`settle`'s.
+    bit-identical to :func:`settle`'s.  The ``(dist, vertex)`` parent rule
+    is settle order only on positive weights: with a zero-weight edge a
+    vertex can settle after larger ids at its distance, or a walk can tie
+    with itself, so on such a graph the search runs :func:`settle` itself.
     """
     if budget <= 0.0:
         return {}, 0.0, {}
     source = int(source)
-    chains, adj = graph.chains(), graph.adjacency()
     marks = marks or {}
+    if graph.has_zero_weight:
+        dist, best, radius = {}, {}, INF
+        for d, u, p in settle(graph, (source,), through=through):
+            if d >= budget:
+                radius = d
+                break
+            dist[u] = d
+            best[u] = max(best[p], marks.get(p, 0.0)) if p >= 0 else 0.0
+        return dist, radius, {u: best[u] for u in dist if u in marks}
+    chains, adj = graph.chains(), graph.adjacency()
     dist: dict[int, float] = {source: 0.0}
     via: dict[int, tuple[int, float]] = {source: (-1, 0.0)}  # core vertex -> (parent, passed)
     passed: dict[int, float] = {}
@@ -281,17 +294,3 @@ def dijkstra(
     dist[vs] = ds
     return dist
 
-
-def floyd_warshall_reference(graph: Graph) -> np.ndarray:
-    """O(V^3) all-pairs reference — an independent implementation used only
-    by tests to validate the Dijkstra variants on tiny graphs."""
-    n = graph.n_vertices
-    d = np.full((n, n), INF)
-    np.fill_diagonal(d, 0.0)
-    for u, v, w in zip(graph.edges_u, graph.edges_v, graph.edges_w):
-        d[u, v] = min(d[u, v], w)
-        if not graph.directed:
-            d[v, u] = min(d[v, u], w)
-    for k in range(n):
-        d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
-    return d

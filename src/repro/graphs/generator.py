@@ -27,9 +27,9 @@ Presets ``tokyo-lite`` / ``nyc-lite`` / ``cal-lite`` track Table 5's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import pandas as pd
 
 from repro.graphs.categories import (
     CategoryForest,
@@ -73,6 +73,12 @@ class Graph:
     @property
     def n_edges(self) -> int:
         return len(self.edges_u)
+
+    @cached_property
+    def has_zero_weight(self) -> bool:
+        """Some edge weighs 0, so ties at one distance can settle out of
+        vertex-id order (see :func:`repro.graphs.dijkstra.settle`)."""
+        return bool((self.edges_w == 0.0).any())
 
     @property
     def poi_ids(self) -> np.ndarray:
@@ -172,23 +178,6 @@ class Graph:
             return chains[u]
         adj = self.adjacency()
         return tuple(_walk(adj, chains, u, e) for e in adj[u])
-
-    # ------------------------------------------------------------- tabular
-    def edges_pandas(self) -> pd.DataFrame:
-        """Undirected edge list ``(src, dst, w)`` — one row per edge."""
-        return pd.DataFrame(
-            {
-                "src": self.edges_u.astype(np.int64),
-                "dst": self.edges_v.astype(np.int64),
-                "w": self.edges_w.astype(np.float64),
-            }
-        )
-
-    def pois_pandas(self) -> pd.DataFrame:
-        ids = self.poi_ids
-        return pd.DataFrame(
-            {"poi_id": ids.astype(np.int64), "cat_id": self.cat_of[ids].astype(np.int64)}
-        )
 
 
 Chain = tuple[tuple[tuple[int, float], ...], tuple[int, float] | None]

@@ -82,3 +82,18 @@ def multi_source_to_targets(graph, sources, targets) -> float:
         if u in tgt:
             return d
     return float("inf")
+
+
+def floyd_warshall_reference(graph) -> np.ndarray:
+    """O(V^3) all-pairs reference: an independent implementation that
+    validates the Dijkstra variants on tiny graphs."""
+    n = graph.n_vertices
+    d = np.full((n, n), float("inf"))
+    np.fill_diagonal(d, 0.0)
+    for u, v, w in zip(graph.edges_u, graph.edges_v, graph.edges_w):
+        d[u, v] = min(d[u, v], w)
+        if not graph.directed:
+            d[v, u] = min(d[v, u], w)
+    for k in range(n):
+        d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
+    return d

@@ -6,8 +6,8 @@ import pytest
 
 from repro.core.bounds import MinDistBounds
 from repro.core.query import QueryContext
-from repro.graphs.dijkstra import dijkstra, floyd_warshall_reference
-from tests.conftest import multi_source_to_targets, random_query
+from repro.graphs.dijkstra import dijkstra
+from tests.conftest import floyd_warshall_reference, multi_source_to_targets, random_query
 
 INF = float("inf")
 

@@ -135,14 +135,14 @@ _FUZZ_CATS = sorted(
 @st.composite
 def _skysr_worlds(draw):
     """Random small worlds for the differential test: multigraphs with
-    weights 1-4 (so ties are common), directed or not, PoIs with §6 extra
+    weights 0-4 (so ties are common), directed or not, PoIs with §6 extra
     categories, an ``S_q`` of up to three categories from two trees (so
     trees repeat), and an optional destination.  Returns ``(graph, v_q,
     seq_cats, destination)``."""
     n = draw(st.integers(1, 9))
     vertex = st.integers(0, n - 1)
     cat = st.sampled_from(_FUZZ_CATS)
-    edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 4)), max_size=2 * n))
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(0, 4)), max_size=2 * n))
     g = graph_from_edges(
         n,
         [(u, v, float(w)) for u, v, w in edges],
@@ -151,6 +151,27 @@ def _skysr_worlds(draw):
         extra_cats=draw(st.dictionaries(vertex, st.lists(cat, min_size=1, max_size=2), max_size=3)),
     )
     return g, draw(vertex), draw(st.lists(cat, min_size=1, max_size=3)), draw(st.none() | vertex)
+
+
+class TestZeroWeights:
+    """Zero-weight edges: a self-loop at the query vertex, a zero-weight
+    cycle back to a settled vertex, and a scan that reaches its own start
+    again at distance 0."""
+
+    @pytest.mark.parametrize(
+        "n, edges, pois, cats",
+        [
+            (1, [(0, 0, 0.0)], {}, [0]),
+            (4, [(0, 1, 0.0), (0, 3, 1.0), (1, 1, 0.0)], {0: 0, 3: 1}, [1]),
+            (3, [(0, 1, 0.0), (0, 2, 0.0), (1, 1, 0.0)], {0: 0}, [1]),
+        ],
+        ids=["self-loop", "cycle-back", "own-start"],
+    )
+    def test_every_flag_combo_equals_brute_force(self, n, edges, pois, cats):
+        g = graph_from_edges(n, edges, pois)
+        want = score_set(brute_force_skysr(g, _FOREST, 0, cats))
+        for opts in ALL_FLAG_COMBOS:
+            assert bssr(g, _FOREST, 0, cats, options=opts).score_set() == want, opts
 
 
 class TestDifferentialFuzz:

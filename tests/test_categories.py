@@ -146,14 +146,3 @@ class TestSimilarity:
         assert (s == 1.0) == (a == b)
         assert (s == 0.0) == (f.tree_id[a] != f.tree_id[b])
 
-
-# --------------------------------------------------------------- tabular
-class TestTabular:
-    def test_ancestors_closure_rowcount(self, fsq):
-        pdf = fsq.ancestors_pandas()
-        assert len(pdf) == sum(fsq.depth)  # one row per (cat, ancestor incl. self)
-
-    def test_to_pandas_roundtrip(self, fsq):
-        pdf = fsq.to_pandas()
-        assert list(pdf.cat_id) == list(range(fsq.n_categories))
-        assert list(pdf.depth) == fsq.depth

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs.dijkstra import (
     dijkstra,
-    floyd_warshall_reference,
     settle,
     settle_below,
     settle_to,
 )
 from repro.graphs.generator import graph_from_edges, road_network
-from tests.conftest import multi_source_to_targets
+from tests.conftest import floyd_warshall_reference, multi_source_to_targets
 
 INF = float("inf")
 
@@ -152,12 +151,12 @@ def _assert_matches_reference(g, marks, through):
 
 
 @st.composite
-def _small_worlds(draw):
-    """Small multigraphs with weights 1-3, so ties are everywhere, plus a
-    core-less path or cycle component and isolated vertices; a quarter of
-    them directed.  Returns ``(graph, marks, through)``."""
+def _small_worlds(draw, weight=st.integers(1, 3)):
+    """Small multigraphs with weights 1-3 (or ``weight``), so ties are
+    everywhere, plus a core-less path or cycle component and isolated
+    vertices; a quarter of them directed.  Returns ``(graph, marks,
+    through)``."""
     n = draw(st.integers(1, 10))
-    weight = st.integers(1, 3)
     edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight), max_size=2 * n))
     k = draw(st.integers(0, 6))
     ws = draw(st.lists(weight, min_size=k, max_size=k))
@@ -195,9 +194,20 @@ class TestSettleBelow:
     """The chain-compressed budgeted search against the settle-order scan."""
 
     @settings(max_examples=300, deadline=None)
-    @given(_small_worlds())
+    @given(_small_worlds(st.integers(0, 4)))
     def test_matches_settle_reference(self, world):
         _assert_matches_reference(*world)
+
+    def test_zero_weight_settle_order(self):
+        """A zero-weight chain 1-20-2 makes 2 settle after 15 at distance 1,
+        so 15, not the smaller id 2, is the parent of 3 and sets its
+        ``passed``."""
+        edges = [(0, 1, 1.0), (0, 15, 1.0), (1, 20, 0.0), (20, 2, 0.0), (2, 3, 1.0), (15, 3, 1.0),
+                 (1, 4, 4.0), (15, 5, 4.0), (2, 6, 4.0)]
+        g = graph_from_edges(21, edges, {})
+        marks = {2: 0.5, 15: 0.25, 3: 1.0}
+        assert settle_below(g, 0, INF, marks=marks)[2] == {2: 0.0, 15: 0.0, 3: 0.25}
+        _assert_matches_reference(g, marks, None)
 
     @pytest.mark.parametrize("through", ["none", "perfect"])
     def test_every_chain_shape(self, through):

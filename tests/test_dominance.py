@@ -8,9 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dominance import SkylineSet, dominates, equivalent, skyline
+from repro.core.dominance import _EPS, SkylineSet, dominates, skyline
 
 INF = float("inf")
+
+
+def equivalent(a: tuple[float, float], b: tuple[float, float]) -> bool:
+    """Equal score pairs under the one ``_EPS`` rounding rule."""
+    return abs(a[0] - b[0]) <= _EPS and abs(a[1] - b[1]) <= _EPS
 
 
 def brute_minimal_scores(pairs: list[tuple[float, float]]) -> set[tuple[float, float]]:

@@ -1,6 +1,11 @@
 """Synthetic road networks + PoI embedding (Table 5 substrate)."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -202,9 +207,19 @@ class TestHelpers:
             all_pois |= set(int(p) for p in ps)
         assert all_pois == set(int(p) for p in small_graph.poi_ids)
 
-    def test_pandas_views(self, small_graph):
-        e = small_graph.edges_pandas()
-        p = small_graph.pois_pandas()
-        assert len(e) == small_graph.n_edges
-        assert len(p) == small_graph.n_pois
-        assert set(p.poi_id) == set(int(x) for x in small_graph.poi_ids)
+
+def test_local_engines_import_neither_pandas_nor_pyspark():
+    """The local query path loads no DataFrame library.  It runs in a fresh
+    interpreter because conftest has already imported both here."""
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "import repro.core.bssr, repro.baselines.naive, repro.baselines.brute\n"
+        "import repro.workloads, repro.tables.common\n"
+        "import repro.tables.table6, repro.tables.table7, repro.tables.table8, repro.tables.table9\n"
+        "loaded = sorted({'pandas', 'pyspark'} & set(sys.modules))\n"
+        "assert not loaded, loaded\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    r = subprocess.run([sys.executable, "-c", code], env=env, cwd=root, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr

@@ -75,10 +75,13 @@ class TestPipelineExactness:
 
 class TestRelationalPieces:
     def test_dataset_tables_counts(self, spark, tiny_tokyo):
+        g = tiny_tokyo.graph
         t = dataset_tables(spark, tiny_tokyo)
-        assert t["edges"].count() == tiny_tokyo.graph.n_edges
-        assert t["pois"].count() == tiny_tokyo.graph.n_pois
-        assert t["categories"].count() == tiny_tokyo.forest.n_categories
+        assert t["edges"].count() == g.n_edges
+        assert t["pois"].count() == g.n_pois
+        assert {r.poi_id for r in t["pois"].collect()} == {int(x) for x in g.poi_ids}
+        assert t["edges"].dtypes == [("src", "bigint"), ("dst", "bigint"), ("w", "double")]
+        assert t["pois"].dtypes == [("poi_id", "bigint"), ("cat_id", "bigint")]
 
     @pytest.mark.parametrize("n_updates", [0, 1, 5, 20])
     def test_threshold_col_equals_skyline_threshold(self, spark, n_updates):

@@ -65,7 +65,7 @@ class TestPartitionedDijkstra:
         from repro.oracle import assert_equivalent
 
         g = graph_from_edges(4, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 4.0), (2, 3, 1.0)], {})
-        pdf = g.edges_pandas()
+        pdf = pd.DataFrame({"src": g.edges_u, "dst": g.edges_v, "w": g.edges_w})
         both = pd.concat(
             [pdf, pdf.rename(columns={"src": "dst", "dst": "src"})[["src", "dst", "w"]]],
             ignore_index=True,

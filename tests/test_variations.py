@@ -13,8 +13,9 @@ from repro.baselines.brute import brute_force_skysr, score_set
 from repro.core.bssr import bssr
 from repro.core.query import QueryContext
 from repro.graphs.categories import foursquare_lite_forest
-from repro.graphs.dijkstra import dijkstra, floyd_warshall_reference
+from repro.graphs.dijkstra import dijkstra
 from repro.graphs.generator import graph_from_edges, road_network
+from tests.conftest import floyd_warshall_reference
 
 
 def _directed_world(seed: int):
