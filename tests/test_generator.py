@@ -12,6 +12,7 @@ import pytest
 from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs.generator import (
     PAPER_TABLE5,
+    Dataset,
     dataset,
     graph_from_edges,
     popular_leaf_categories,
@@ -206,6 +207,20 @@ class TestHelpers:
                 assert f.tree_id[int(small_graph.cat_of[p])] == t
             all_pois |= set(int(p) for p in ps)
         assert all_pois == set(int(p) for p in small_graph.poi_ids)
+
+    def test_pandas_views(self, spark, small_graph):
+        """The relational edges/pois views: one row per edge and per PoI,
+        every PoI id present, each PoI tagged with its own category."""
+        from repro.core.skysr_spark import dataset_tables
+
+        g = small_graph
+        t = dataset_tables(spark, Dataset("small", g, foursquare_lite_forest()))
+        e = t["edges"].toPandas()
+        p = t["pois"].toPandas()
+        assert len(e) == g.n_edges
+        assert len(p) == g.n_pois
+        assert set(p.poi_id) == set(int(x) for x in g.poi_ids)
+        assert all(int(c) == int(g.cat_of[i]) for i, c in zip(p.poi_id, p.cat_id))
 
 
 def test_local_engines_import_neither_pandas_nor_pyspark():
