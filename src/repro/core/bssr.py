@@ -110,7 +110,8 @@ def bssr_first_scan(
     *,
     use_nninit: bool = True,
 ) -> BSSRStats:
-    """Run only NNinit (optionally) + the *first* modified Dijkstra.
+    """Run only ``run()``'s seeding (NNinit optionally, then the bounds) and
+    the *first* modified Dijkstra.
 
     Table 7 measures the first search's scanned edge-weight sum with and
     without the initial search; the full run's first scan is identical by
@@ -118,13 +119,7 @@ def bssr_first_scan(
     only that metric is needed.
     """
     run = _BSSRRun(graph, forest, v_q, list(seq_cats), BSSROptions(use_nninit=use_nninit), None)
-    if use_nninit:
-        tn = time.perf_counter()
-        run.S = nninit(run.ctx)
-        run.stats.nninit_time_ms = (time.perf_counter() - tn) * 1e3
-        run.stats.nninit_routes = len(run.S)
-        run.stats.nninit_ratio = nninit_ratio(run.S)
-        run.bounds = MinDistBounds.compute(run.ctx, run.S.threshold(0.0))
+    run._seed()
     run._expand(PartialRoute((), 0.0, 1.0))
     return run.stats
 
@@ -281,8 +276,9 @@ class _BSSRRun:
                 self._push(r.extend(u, d, sim_u))
 
     # ------------------------------------------------------------ main loop
-    def run(self) -> BSSRResult:
-        t0 = time.perf_counter()
+    def _seed(self) -> None:
+        """Before the first scan: NNinit's initial skyline (§5.3.1) and the
+        possible-minimum distances it bounds (§5.3.3), as enabled."""
         if self.opt.use_nninit:
             tn = time.perf_counter()
             self.S = nninit(self.ctx)
@@ -291,6 +287,10 @@ class _BSSRRun:
             self.stats.nninit_ratio = nninit_ratio(self.S)
         if self.opt.use_min_dist:
             self.bounds = MinDistBounds.compute(self.ctx, self.S.threshold(0.0))
+
+    def run(self) -> BSSRResult:
+        t0 = time.perf_counter()
+        self._seed()
         self._expand(PartialRoute((), 0.0, 1.0))
         while self.heap:
             _key, _seq, r = heapq.heappop(self.heap)

@@ -91,8 +91,8 @@ class QueryContext:
         # Set disjointness is the precise condition; distinct trees (the
         # paper's workload constraint) implies it for single-category PoIs.
         self.trees_distinct = pairwise_disjoint(self.match_sims)
-        # §6 destination leg: on undirected graphs the plain search from the
-        # destination; on directed ones it walks in-edges.
+        # §6 destination leg: one search from the destination on the
+        # reversed graph, which is the graph itself when undirected.
         self.dest_dist = (
             dijkstra(g, self.destination, reverse=True) if self.destination is not None else None
         )

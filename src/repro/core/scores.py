@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.core.query import QueryContext
 from repro.graphs.categories import CategoryForest
-from repro.graphs.dijkstra import dijkstra
+from repro.graphs.dijkstra import settle_to
 from repro.graphs.generator import Graph
 
 
@@ -79,8 +79,7 @@ def route_scores(
     prev = v_q
     prod = 1.0
     for pos, poi in enumerate(route):
-        d = dijkstra(graph, prev, targets=[poi])[poi]
-        total += float(d)
+        total += next((d for d, _u in settle_to(graph, (prev,), (poi,))), float("inf"))
         prod *= ctx.sim_at(pos, poi)
         prev = poi
     if ctx.dest_dist is not None:

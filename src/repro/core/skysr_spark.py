@@ -83,29 +83,27 @@ def threshold_col(S: SkylineSet, s: Column) -> Column:
     return out
 
 
-def skyline_df(df: DataFrame, l_col: str = "length", s_col: str = "semantic") -> DataFrame:
-    """Minimal skyline: sweep in (l, s) order keeping strict s improvements.
+def skyline_df(df: DataFrame) -> DataFrame:
+    """Minimal skyline of the ``length`` and ``semantic`` columns: sweep in
+    (l, s) order keeping strict s improvements.
 
     Single-partition window — candidate sets are small by the time this
     runs (post-pruning), mirroring the paper's observation that |S| stays
     tiny (§7.4).
     """
-    w = (
-        Window.orderBy(F.col(l_col).asc(), F.col(s_col).asc())
-        .rowsBetween(Window.unboundedPreceding, -1)
-    )
+    l, s = F.col("length"), F.col("semantic")
+    w = Window.orderBy(l.asc(), s.asc()).rowsBetween(Window.unboundedPreceding, -1)
     swept = (
-        df.withColumn("_prev_min_s", F.min(s_col).over(w))
-        .where(F.col("_prev_min_s").isNull() | (F.col(s_col) < F.col("_prev_min_s") - _EPS))
+        df.withColumn("_prev_min_s", F.min(s).over(w))
+        .where(F.col("_prev_min_s").isNull() | (s < F.col("_prev_min_s") - _EPS))
         .drop("_prev_min_s")
     )
     # The sweep can keep a row whose length ties a *later*, semantically
     # better row within _EPS (float legs summed in different orders): an
     # eps-dominance anti self-join over the small swept set removes those.
-    other = swept.select(F.col(l_col).alias("_ol"), F.col(s_col).alias("_os"))
-    dominated = (
-        (F.col("_ol") < F.col(l_col) - _EPS) & (F.col("_os") <= F.col(s_col) + _EPS)
-    ) | ((F.col("_os") < F.col(s_col) - _EPS) & (F.col("_ol") <= F.col(l_col) + _EPS))
+    other = swept.select(l.alias("_ol"), s.alias("_os"))
+    ol, os_ = F.col("_ol"), F.col("_os")
+    dominated = ((ol < l - _EPS) & (os_ <= s + _EPS)) | ((os_ < s - _EPS) & (ol <= l + _EPS))
     return swept.join(other, on=dominated, how="left_anti")
 
 

@@ -59,10 +59,7 @@ class Graph:
     _csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, repr=False
     )
-    _csr_rev: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False
-    )
-    _adj: dict[bool, list[list[tuple[int, float]]]] = field(default_factory=dict, repr=False)
+    _adj: list[list[tuple[int, float]]] | None = field(default=None, repr=False)
     _chains: list | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------- derived
@@ -76,9 +73,27 @@ class Graph:
 
     @cached_property
     def has_zero_weight(self) -> bool:
-        """Some edge weighs 0, so ties at one distance can settle out of
-        vertex-id order (see :func:`repro.graphs.dijkstra.settle`)."""
+        """Some edge weighs 0; :meth:`chains` then makes every vertex core."""
         return bool((self.edges_w == 0.0).any())
+
+    @cached_property
+    def reverse(self) -> Graph:
+        """The graph with every edge turned around, built once: a search on
+        it gives distances *to* its source.  An undirected graph is its own
+        reverse."""
+        if not self.directed:
+            return self
+        return Graph(
+            self.n_vertices,
+            self.n_road,
+            self.edges_v,
+            self.edges_u,
+            self.edges_w,
+            self.xy,
+            self.cat_of,
+            directed=True,
+            extra_cats=self.extra_cats,
+        )
 
     @property
     def poi_ids(self) -> np.ndarray:
@@ -118,25 +133,15 @@ class Graph:
                 self._csr = self._build_csr(u, v, w)
         return self._csr
 
-    def csr_reverse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """In-adjacency — distances *to* a vertex on directed graphs (used
-        by the destination variant)."""
-        if not self.directed:
-            return self.csr()
-        if self._csr_rev is None:
-            self._csr_rev = self._build_csr(self.edges_v, self.edges_u, self.edges_w)
-        return self._csr_rev
-
-    def adjacency(self, reverse: bool = False) -> list[list[tuple[int, float]]]:
+    def adjacency(self) -> list[list[tuple[int, float]]]:
         """``adj[u]`` = ``[(v, w), ...]`` in CSR order, as Python ints and
-        floats, built once per graph: the shortest-path kernel's loop reads
-        it without numpy scalar indexing.  ``reverse`` gives in-edges."""
-        key = reverse and self.directed
-        if key not in self._adj:
-            indptr, indices, weights = self.csr_reverse() if key else self.csr()
+        floats, built once per graph: the shortest-path kernels' loops read
+        it without numpy scalar indexing."""
+        if self._adj is None:
+            indptr, indices, weights = self.csr()
             idx, wts, ptr = indices.tolist(), weights.tolist(), indptr.tolist()
-            self._adj[key] = [list(zip(idx[a:b], wts[a:b])) for a, b in zip(ptr, ptr[1:])]
-        return self._adj[key]
+            self._adj = [list(zip(idx[a:b], wts[a:b])) for a, b in zip(ptr, ptr[1:])]
+        return self._adj
 
     def chains(self) -> list[tuple[Chain, ...] | None]:
         """Degree-2 chain index of the forward adjacency, built once per graph.
@@ -148,11 +153,13 @@ class Graph:
         degree-2 vertices (ending at a dead-end leaf, if any) and ``end`` is
         the entry into the next core vertex, or ``None`` after a leaf.  The
         entries are the ``adjacency()`` tuples themselves.  Non-core vertices
-        map to ``None``.  On directed graphs every vertex is core.
+        map to ``None``.  On directed graphs, and on graphs with a zero-weight
+        edge, every vertex is core, so every walk is a single edge.
         """
         if self._chains is None:
             adj = self.adjacency()
-            chains: list = [() if self.directed or len(row) not in (1, 2) else None for row in adj]
+            all_core = self.directed or self.has_zero_weight
+            chains: list = [() if all_core or len(row) not in (1, 2) else None for row in adj]
             covered = bytearray(self.n_vertices)
 
             def walk_out(c: int) -> None:

@@ -34,7 +34,6 @@ def partitioned_dijkstra(
     *,
     cutoffs: dict[int, float] | None = None,
     emit_only: np.ndarray | None = None,
-    n_partitions: int | None = None,
 ) -> DataFrame:
     """Sources fan out over partitions; each runs the local
     ``settle_below`` kernel against the broadcast graph, which returns the
@@ -52,7 +51,7 @@ def partitioned_dijkstra(
             "cutoff": np.asarray([cutoffs.get(int(s), INF) for s in sources], dtype=np.float64),
         }
     )
-    n_parts = n_partitions or min(max(1, len(sources)), spark.sparkContext.defaultParallelism)
+    n_parts = min(max(1, len(sources)), sc.defaultParallelism)
     src_df = spark.createDataFrame(src_pdf).repartition(n_parts, "source")
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:

@@ -6,6 +6,8 @@ fast and reproducible.
 """
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 import pytest
 
@@ -70,13 +72,50 @@ def random_query(graph, forest, rng, size: int, *, distinct_trees: bool = True):
     return v_q, cats
 
 
+def settle(graph, sources, *, through=None):
+    """Textbook multi-source Dijkstra: yield ``(dist, vertex, parent)`` for
+    each vertex in settle order, every vertex through the heap.  The tests'
+    reference for both kernels of ``repro.graphs.dijkstra``.
+
+    Sources enter at distance 0 with parent ``-1``; ``parent`` is the vertex
+    whose relaxation gave ``dist``.  Each step settles the smallest
+    ``(dist, vertex)`` among the vertices discovered so far.  With positive
+    weights every vertex at a tied distance is discovered before the first
+    of them settles, so ties settle in vertex-id order; a zero-weight edge
+    can discover a tied vertex later, which then settles after larger ids
+    (edges ``(0,5,1), (5,2,0), (0,3,1)`` from 0 settle 0, 3, 5, 2).  A
+    vertex ``u`` with ``through[u]`` false is yielded but its edges are not
+    relaxed.  Leaving the loop ends the search before the last yielded
+    vertex is relaxed.
+    """
+    adj = graph.adjacency()
+    dist: dict[int, float] = {}
+    heap: list[tuple[float, int, int]] = []
+    for s in sources:
+        s = int(s)
+        if s not in dist:
+            dist[s] = 0.0
+            heap.append((0.0, s, -1))
+    heapq.heapify(heap)
+    while heap:
+        d, u, p = heapq.heappop(heap)
+        if d > dist[u]:
+            continue  # superseded by a shorter entry already settled
+        yield d, u, p
+        if through is not None and not through[u]:
+            continue
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < dist.get(v, float("inf")):
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v, u))
+
+
 def multi_source_to_targets(graph, sources, targets) -> float:
     """Minimum distance from any source to any target (Lemma 5.9): the first
-    target that :func:`repro.graphs.dijkstra.settle` settles from all
-    sources at once; ``inf`` when unreachable or either set is empty.  The
-    tests' reference for the leg searches of ``repro.core.bounds``."""
-    from repro.graphs.dijkstra import settle
-
+    target that :func:`settle` settles from all sources at once; ``inf``
+    when unreachable or either set is empty.  The tests' reference for the
+    leg searches of ``repro.core.bounds``."""
     tgt = {int(t) for t in targets}
     for d, u, _p in settle(graph, sources):
         if u in tgt:

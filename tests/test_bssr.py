@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.graphs.dijkstra as dijkstra_mod
+import repro.core.query as query_mod
 from repro.baselines.brute import brute_force_skysr, score_set
 from repro.core.bssr import _CHUNK, BSSROptions, _weight_sum, bssr, bssr_first_scan
 from repro.core.scores import is_sequenced_route, route_scores
@@ -97,16 +97,16 @@ class TestExactnessRandomized:
         NNinit and the main search."""
         ds = tiny_tokyo
         v_q, cats = random_query(ds.graph, ds.forest, np.random.default_rng(7), 2)
-        settle, reverse_calls = dijkstra_mod.settle, []
+        dijkstra, reverse_calls = query_mod.dijkstra, []
 
         def spy(*args, **kwargs):
             if kwargs.get("reverse"):
                 reverse_calls.append(args[1])
-            return settle(*args, **kwargs)
+            return dijkstra(*args, **kwargs)
 
-        monkeypatch.setattr(dijkstra_mod, "settle", spy)
+        monkeypatch.setattr(query_mod, "dijkstra", spy)
         bssr(ds.graph, ds.forest, v_q, cats, destination=92)
-        assert reverse_calls == [(92,)]
+        assert reverse_calls == [92]
 
     def test_unreachable_destination_gives_no_route(self):
         """A route whose destination leg is unreachable has no finite length,
@@ -281,7 +281,8 @@ class TestInstrumentation:
         v_q, cats = random_query(ds.graph, ds.forest, rng, 2)
         fast = bssr_first_scan(ds.graph, ds.forest, v_q, cats)
         full = bssr(ds.graph, ds.forest, v_q, cats).stats
-        assert fast.first_weight_sum == pytest.approx(full.first_weight_sum)
+        for field in ("first_weight_sum", "first_radius", "nninit_routes", "nninit_ratio"):
+            assert getattr(fast, field) == getattr(full, field), field
 
     def test_proposed_pq_visits_no_more(self, tiny_tokyo):
         """Table 8's direction on a realistic slice (aggregate over a few

@@ -7,14 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.categories import foursquare_lite_forest
-from repro.graphs.dijkstra import (
-    dijkstra,
-    settle,
-    settle_below,
-    settle_to,
-)
+from repro.graphs.dijkstra import dijkstra, settle_below, settle_to
 from repro.graphs.generator import graph_from_edges, road_network
-from tests.conftest import floyd_warshall_reference, multi_source_to_targets
+from tests.conftest import floyd_warshall_reference, multi_source_to_targets, settle
 
 INF = float("inf")
 
@@ -114,14 +109,6 @@ class TestCutoffAndTargets:
         assert np.isinf(limited[~near]).all()
         assert radius == full[~near].min()
 
-    def test_targets_early_stop_exact_on_targets(self, graphs):
-        g = graphs[2]
-        full = dijkstra(g, 3)
-        targets = [g.n_vertices - 1, g.n_vertices - 2, 7]
-        got = dijkstra(g, 3, targets=targets)
-        for t in targets:
-            assert got[t] == pytest.approx(full[t])
-
     def test_disconnected_target(self):
         g = graph_from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)], {})
         assert np.isinf(dijkstra(g, 0)[2])
@@ -220,12 +207,12 @@ class TestSettleBelow:
         _assert_matches_reference(g, marks, mask)
 
     @settings(max_examples=100, deadline=None)
-    @given(_small_worlds())
+    @given(_small_worlds(st.integers(0, 4)))
     def test_chain_index_shape(self, world):
         g = world[0]
         adj, chains = g.adjacency(), g.chains()
         core = {u for u, c in enumerate(chains) if c is not None}
-        if g.directed:
+        if g.directed or g.has_zero_weight:
             assert core == set(range(g.n_vertices))
         assert {u for u, row in enumerate(adj) if len(row) not in (1, 2)} <= core
         covered = set(core)
@@ -243,7 +230,7 @@ class TestSettleBelow:
 def _target_searches(draw):
     """A ``_small_worlds`` graph with one to three sources (any vertex: core,
     chain interior or leaf) and any target set, sources included."""
-    g = draw(_small_worlds())[0]
+    g = draw(_small_worlds(st.integers(0, 4)))[0]
     vertex = st.integers(0, g.n_vertices - 1)
     return g, draw(st.lists(vertex, min_size=1, max_size=3)), draw(st.sets(vertex))
 
@@ -281,12 +268,22 @@ class TestSettleTo:
         assert list(settle_to(g, srcs, pois)) == _filtered_settle(g, srcs, pois)
 
     def test_zero_weight_tie_order(self):
-        """With a zero-weight edge tied targets come out in vertex-id order:
-        the walk out of 0 reaches 5 and 2 at once, where ``settle``
-        discovers 2 only after 5 settles.  No preset has a zero weight."""
+        """With a zero-weight edge tied targets come out in settle order:
+        ``settle`` discovers 2 only after 5 settles, so 2 comes last."""
         g = graph_from_edges(6, [(0, 5, 1.0), (5, 2, 0.0), (0, 3, 1.0)], {})
         assert _filtered_settle(g, [0], {2, 3, 5}) == [(1.0, 3), (1.0, 5), (1.0, 2)]
-        assert list(settle_to(g, [0], {2, 3, 5})) == [(1.0, 2), (1.0, 3), (1.0, 5)]
+        assert list(settle_to(g, [0], {2, 3, 5})) == [(1.0, 3), (1.0, 5), (1.0, 2)]
+
+
+class TestReverseRows:
+    @settings(max_examples=200, deadline=None)
+    @given(_small_worlds(st.integers(0, 4)), st.data())
+    def test_matches_floyd_warshall_column(self, world, data):
+        """``reverse=True`` gives every vertex's distance *to* the source:
+        a column of the all-pairs matrix, directed or not."""
+        g = world[0]
+        s = data.draw(st.integers(0, g.n_vertices - 1))
+        assert np.array_equal(dijkstra(g, s, reverse=True), floyd_warshall_reference(g)[:, s])
 
 
 class TestMultiSource:

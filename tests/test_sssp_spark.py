@@ -56,7 +56,7 @@ class TestPartitionedDijkstra:
 
     def test_many_sources_partitioned(self, spark, world):
         sources = [int(p) for p in world.poi_ids[:12]]
-        got = _collect(partitioned_dijkstra(spark, world, sources, n_partitions=4))
+        got = _collect(partitioned_dijkstra(spark, world, sources))
         assert {s for (s, _v) in got} == set(sources)
 
     def test_duckdb_oracle_bounded_walk(self, spark):
