@@ -36,7 +36,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.query import pairwise_disjoint
-from repro.graphs.dijkstra import settle_to
+from repro.graphs.dijkstra import settle_to, vertex_mask
 from repro.graphs.dijkstra import dijkstra  # noqa: F401  (perfbench's tracer wraps this module's name)
 from repro.graphs.generator import Graph
 
@@ -107,13 +107,13 @@ def osr_pne(
     # (poi, dist) in settle order, which on positive weights is the
     # (dist, vertex) order of the whole list sorted by distance.  A list is
     # a prefix until its key is in `complete`.  Asking past its end reruns
-    # one transient settle_to search, which heaps only core vertices and
-    # matches, and keeps its first max(n + 1, 2 * len) matches, so lists
-    # grow by doubling and no search state outlives the call: PNE keeps
-    # only small tuple lists (the paper's PNE memory profile).  Settle order
-    # is deterministic, so a regrown list extends the old one and PNE
-    # explores exactly as it would over complete lists.
-    members = [frozenset(int(p) for p in m) for m in match_sets]
+    # one transient settle_to search, which stops at its first
+    # max(n + 1, 2 * len) matches, so lists grow by doubling and no search
+    # state outlives the call: PNE keeps only small tuple lists (the
+    # paper's PNE memory profile).  Settle order is deterministic, so a
+    # regrown list extends the old one and PNE explores exactly as it would
+    # over complete lists.
+    targets = [vertex_mask(graph.n_vertices, m) for m in match_sets]
     nn_lists: dict[tuple[int, int], list[tuple[int, float]]] = {}
     complete: set[tuple[int, int]] = set()
 
@@ -121,13 +121,9 @@ def osr_pne(
         key = (src, pos)
         lst = nn_lists.get(key, [])
         if n >= len(lst) and key not in complete:
-            want, match = max(n + 1, 2 * len(lst)), members[pos]
-            lst = []
-            for d, u in settle_to(graph, (src,), match):
-                lst.append((u, d))
-                if len(lst) == want:
-                    break
-            else:
+            want = max(n + 1, 2 * len(lst))
+            lst = [(u, d) for d, u in settle_to(graph, (src,), targets[pos], limit=want)]
+            if len(lst) < want:
                 complete.add(key)  # the source's component ran out
             nn_lists[key] = lst
         return lst[n] if n < len(lst) else None

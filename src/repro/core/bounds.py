@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.query import QueryContext
-from repro.graphs.dijkstra import settle_below, settle_to
+from repro.graphs.dijkstra import settle_below, settle_to, vertex_mask
 from repro.graphs.dijkstra import dijkstra  # noqa: F401  (perfbench's tracer wraps this module's name)
 from repro.graphs.generator import Graph
 
@@ -53,7 +53,7 @@ class MinDistBounds:
         tree, perfect = _pois_in_range(ctx, threshold0)
         ls_leg, lp_leg = [], []
         for i in range(k - 1):
-            ls, lp = _leg_minima(g, tree[i], set(tree[i + 1]), set(perfect[i + 1]))
+            ls, lp = _leg_minima(g, np.flatnonzero(tree[i]), tree[i + 1], perfect[i + 1])
             # An unreachable leg would make every completion infeasible; keep
             # the bound finite-safe (0 contributes nothing to the sum).
             ls_leg.append(ls if np.isfinite(ls) else 0.0)
@@ -69,37 +69,33 @@ class MinDistBounds:
         return self.lp_suffix[route_size]
 
 
-def _pois_in_range(ctx: QueryContext, threshold0: float) -> tuple[list[list[int]], list[list[int]]]:
-    """Each position's semantic and perfect matches closer to ``v_q`` than
-    ``threshold0`` (Algorithm 4 lines 3–4).  The range ball is released on
-    return, before the leg searches run."""
-    tree = [list(ctx.match_sims[i]) for i in range(ctx.k)]
-    perfect = [ctx.perfect(i) for i in range(ctx.k)]
+def _pois_in_range(ctx: QueryContext, threshold0: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per position, masks of the semantic and the perfect matches closer to
+    ``v_q`` than ``threshold0`` (Algorithm 4 lines 3–4).  The range ball is
+    released on return, before the leg searches run."""
+    n = ctx.graph.n_vertices
+    tree = [vertex_mask(n, ctx.match_sims[i]) for i in range(ctx.k)]
+    perfect = [vertex_mask(n, ctx.perfect(i)) for i in range(ctx.k)]
     if np.isfinite(threshold0):
-        near = settle_below(ctx.graph, ctx.v_q, threshold0)[0]
-        tree = [[p for p in ps if p in near] for ps in tree]
-        perfect = [[p for p in ps if p in near] for ps in perfect]
+        near = settle_below(ctx.graph, ctx.v_q, threshold0).dist < threshold0
+        for mask in (*tree, *perfect):
+            mask &= near
     return tree, perfect
 
 
-def _leg_minima(g: Graph, srcs: list[int], sem: set[int], perf: set[int]) -> tuple[float, float]:
-    """``(l_s, l_p)`` of one leg from a single multi-source search (Lemma 5.9).
+def _leg_minima(g: Graph, srcs: np.ndarray, sem: np.ndarray, perf: np.ndarray) -> tuple[float, float]:
+    """``(l_s, l_p)`` of one leg from a single multi-source search (Lemma 5.9),
+    towards the vertex masks ``sem`` and ``perf``.
 
     ``perf`` is a subset of ``sem``, so the first settled semantic target
     comes no later than the first perfect one: one settle sequence yields
     both minima, and the search stops once both are known.
     """
-    if not sem:
+    found = settle_to(g, srcs, sem, stop=perf, limit=None if perf.any() else 1)
+    if not found:
         return INF, INF
-    ls = INF
-    for d, u in settle_to(g, srcs, sem):
-        if ls == INF:
-            ls = d
-            if not perf:
-                break
-        if u in perf:
-            return ls, d
-    return ls, INF
+    d, u = found[-1]
+    return found[0][0], d if perf[u] else INF
 
 
 def _suffix(leg: list[float], k: int) -> list[float]:

@@ -127,35 +127,25 @@ def bssr_first_scan(
 _CHUNK = 256  # vertices per gather in _weight_sum
 
 
-def _weight_sum(g: Graph, dist: dict[int, float], through: bytes | None) -> float:
-    """Table 7: the weights of the edges a scan relaxes, summed one by one in
-    settle order, i.e. by ``(dist, vertex)``, as a loop over the adjacency
+def _weight_sum(g: Graph, order: np.ndarray, through: bytes | np.ndarray | None) -> float:
+    """Table 7: the weights of the edges a scan relaxes, summed one by one
+    in settle order (``order``), as the scan's own loop over the CSR rows
     would.  ``cumsum`` adds in sequence, and each chunk starts from the
     previous chunk's total, so the sum is that loop's, bit for bit.  The
-    small chunks and 32-bit ids keep the traced peak at or below that
-    loop's, which Table 6 measures."""
+    small chunks keep the traced peak at or below that loop's, which
+    Table 6 measures."""
     indptr, _indices, weights = g.csr()
-    vs = np.fromiter(dist, dtype=np.int32, count=len(dist))
-    vs = vs[np.lexsort((vs, np.fromiter(dist.values(), dtype=np.float64, count=len(dist))))]
     if through is not None:
-        vs = vs[np.frombuffer(through, dtype=bool)[vs]]
+        order = order[np.frombuffer(through, dtype=bool)[order]]
     total = 0.0
-    for i in range(0, len(vs), _CHUNK):
-        lo = indptr[vs[i : i + _CHUNK]]
-        n = indptr[vs[i : i + _CHUNK] + 1] - lo
+    for i in range(0, len(order), _CHUNK):
+        lo = indptr[order[i : i + _CHUNK]]
+        n = indptr[order[i : i + _CHUNK] + 1] - lo
         w = weights[np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())]
         if len(w):
             w[0] += total
             total = float(np.cumsum(w, out=w)[-1])
     return total
-
-
-def _no_perfect(n_vertices: int, perfect: list[int]) -> bytes:
-    """``through`` bytes for one position: 0 at each perfect match, 1 elsewhere."""
-    through = bytearray(b"\x01") * n_vertices
-    for v in perfect:
-        through[v] = 0
-    return bytes(through)
 
 
 class _BSSRRun:
@@ -174,12 +164,13 @@ class _BSSRRun:
         # Lemma 5.5 / caching are only route-independent when the query's
         # match sets are pairwise disjoint (DESIGN.md §deviations-3).
         self.cache_on = options.use_cache and self.ctx.trees_distinct
-        # Lemma 5.5-ii: the modified Dijkstra never passes a perfect match.
-        # One byte per vertex (0 = perfect match), indexed like a list.
-        self.through = [
-            _no_perfect(graph.n_vertices, self.ctx.perfect(pos)) if self.ctx.trees_distinct else None
-            for pos in range(self.ctx.k)
-        ]
+        # Per position, the kernel's marks: each vertex's similarity, 0 if
+        # it does not match.  Lemma 5.5-ii: the modified Dijkstra never
+        # passes a perfect match, so ``through`` is false exactly there.
+        self.mark = [np.zeros(graph.n_vertices) for _sim in self.ctx.match_sims]
+        for mark, sim in zip(self.mark, self.ctx.match_sims):
+            mark[list(sim)] = list(sim.values())
+        self.through = [m != 1.0 if self.ctx.trees_distinct else None for m in self.mark]
         self.cache: dict[tuple[int, int], _CacheEntry] = {}
         self.S = SkylineSet()
         self.bounds = MinDistBounds.zeros(self.ctx.k)
@@ -223,17 +214,16 @@ class _BSSRRun:
         g = self.ctx.graph
         sim = self.ctx.match_sims[pos]
         through = self.through[pos]
-        # passed[u]: best similarity on u's shortest path before u (Lemma 5.5-i).
-        dist, radius, passed = settle_below(g, p_d, budget, through=through, marks=sim)
-        self.stats.visited_vertices += len(dist)
-        cands = sorted(
-            (dist[u], u, sim[u]) for u, before in passed.items() if through is None or sim[u] > before
-        )
+        ball = settle_below(g, p_d, budget, through=through, mark=self.mark[pos])
+        self.stats.visited_vertices += len(ball.order)
+        # passed: best similarity on u's shortest path before u (Lemma 5.5-i).
+        # The matches come in settle order, the order Algorithm 2 meets them.
+        cands = [(d, u, sim[u]) for d, u, before in ball.marked.tolist() if through is None or sim[u] > before]
         if self.stats.mdijkstra_runs == 0:
-            self.stats.first_weight_sum = _weight_sum(g, dist, through)
-            self.stats.first_radius = max(dist.values(), default=0.0)
+            self.stats.first_weight_sum = _weight_sum(g, ball.order, through)
+            self.stats.first_radius = float(ball.dist[ball.order[-1]]) if len(ball.order) else 0.0
         self.stats.mdijkstra_runs += 1
-        return _CacheEntry(cands, radius)
+        return _CacheEntry(cands, ball.radius)
 
     def _candidates(self, p_d: int, pos: int, budget: float) -> list[tuple[float, int, float]]:
         """Fetch matching PoIs below ``budget``, via the on-the-fly cache

@@ -3,7 +3,8 @@
 Greedily chains nearest *perfect* matches: one search per position, each
 started from the PoI just found and stopped at the first perfect match it
 settles.  The searches run on :func:`~repro.graphs.dijkstra.settle_to`, so
-only the position's matches (``QueryContext.match_sims``) are yielded.
+only the position's matches (``QueryContext.match_sims``) not yet on the
+route are listed, the perfect one last.
 During the final position's search every semantically matching PoI settled
 before the perfect one also completes a sequenced route, so NNinit returns
 several routes — one with semantic score 0 (the branch-and-bound seed for
@@ -21,7 +22,7 @@ from __future__ import annotations
 from repro.core.dominance import SkylineSet
 from repro.core.query import QueryContext
 from repro.core.scores import semantic_score
-from repro.graphs.dijkstra import settle_to
+from repro.graphs.dijkstra import settle_to, vertex_mask
 from repro.graphs.dijkstra import dijkstra  # noqa: F401  (perfbench's tracer wraps this module's name)
 
 
@@ -32,26 +33,25 @@ def nninit(ctx: QueryContext) -> SkylineSet:
     total_len = 0.0
     start = ctx.v_q
     dest_extra = ctx.dest_dist
+    n = ctx.graph.n_vertices
 
     for i in range(ctx.k):
         sim = ctx.match_sims[i]
-        last = i == ctx.k - 1
-        for d, u in settle_to(ctx.graph, (start,), sim):
-            if u in route:
-                continue
-            sim_u = sim[u]
-            if last:
-                # Every semantic match settled on the way in completes a
-                # sequenced route (Algorithm 3 lines 9–11).
+        target = vertex_mask(n, sim)
+        target[list(route)] = False
+        found = settle_to(ctx.graph, (start,), target, stop=vertex_mask(n, ctx.perfect(i)))
+        if i == ctx.k - 1:
+            # Every semantic match settled on the way in completes a
+            # sequenced route (Algorithm 3 lines 9–11).
+            for d, u in found:
                 l = total_len + d + (dest_extra[u] if dest_extra is not None else 0.0)
-                S.update(l, semantic_score(sim_u), route + (u,))
-            if sim_u == 1.0:
-                route = route + (u,)
-                total_len += d
-                start = u
-                break
-        else:
+                S.update(l, semantic_score(sim[u]), route + (u,))
+        if not found or sim[found[-1][1]] != 1.0:
             break  # no perfect match reachable — return what we have
+        d, u = found[-1]
+        route = route + (u,)
+        total_len += d
+        start = u
     return S
 
 

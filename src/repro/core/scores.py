@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.core.query import QueryContext
 from repro.graphs.categories import CategoryForest
-from repro.graphs.dijkstra import settle_to
+from repro.graphs.dijkstra import settle_to, vertex_mask
 from repro.graphs.generator import Graph
 
 
@@ -79,7 +79,8 @@ def route_scores(
     prev = v_q
     prod = 1.0
     for pos, poi in enumerate(route):
-        total += next((d for d, _u in settle_to(graph, (prev,), (poi,))), float("inf"))
+        found = settle_to(graph, (prev,), vertex_mask(graph.n_vertices, (poi,)), limit=1)
+        total += found[0][0] if found else float("inf")
         prod *= ctx.sim_at(pos, poi)
         prev = poi
     if ctx.dest_dist is not None:

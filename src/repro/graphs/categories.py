@@ -42,7 +42,15 @@ class CategoryForest:
     depth: list[int]
     name: list[str]
     _anc_cache: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
-    _kids: list[list[int]] | None = field(default=None, repr=False)
+    _kids: list[list[int]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # Built with the forest, like a graph's CSR, so no engine pays for it
+        # on its first call (Table 6 traces each engine's allocations).
+        self._kids = [[] for _ in self.parent]
+        for i, p in enumerate(self.parent):
+            if p != -1:
+                self._kids[p].append(i)
 
     # ---------------------------------------------------------------- basics
     @property
@@ -64,12 +72,6 @@ class CategoryForest:
         return out
 
     def children(self, c: int) -> list[int]:
-        if self._kids is None:
-            kids: list[list[int]] = [[] for _ in self.parent]
-            for i, p in enumerate(self.parent):
-                if p != -1:
-                    kids[p].append(i)
-            self._kids = kids
         return list(self._kids[c])
 
     def leaves(self) -> list[int]:

@@ -4,33 +4,38 @@
 ``(dist, vertex)``: each step settles the smallest pair among the vertices
 discovered so far, and a vertex's parent is the first settled vertex whose
 relaxation gave its final distance.  Every vertex-graph search in the
-program runs on one of two kernels that reproduce it:
+program runs one compiled kernel that is exactly that search
+(``_settle.c``, over ``Graph.csr()``), through one of two entry points:
 
 * :func:`settle_below` — the whole ball below a distance budget, from one
   source, with the Lemma 5.5 ``through`` rule and the stop value.  It
-  serves the budgeted searches that need every distance in the ball but no
-  order: BSSR's modified Dijkstra, the Algorithm 4 range filter and the
-  ``mapInPandas`` engine of ``repro.graphs.sssp_spark``.
+  serves the budgeted searches: BSSR's modified Dijkstra, the Algorithm 4
+  range filter and the ``mapInPandas`` engine of ``repro.graphs.sssp_spark``.
 * :func:`settle_to` — the target vertices only, in settle order, from any
-  number of sources.  It serves the searches that want the next *matching*
-  PoIs: NNinit's per-position searches, the Lemma 5.9 leg minima of
-  ``repro.core.bounds``, the PNE neighbour lists of
-  ``repro.baselines.osr`` and route scoring.
-
-Both hold only the core vertices of ``Graph.chains()`` in their heap (plus,
-for :func:`settle_to`, the targets found so far); degree-2 chains and
-dead-end branches are walked edge by edge with the same stepwise sums, so
-every distance is bit-identical to textbook Dijkstra's.  On a graph with a
-zero-weight edge every vertex is core, so both run as textbook Dijkstra.
+  number of sources, up to a limit or a stop vertex.  It serves the
+  searches that want the next *matching* PoIs: NNinit's per-position
+  searches, the Lemma 5.9 leg minima of ``repro.core.bounds``, the PNE
+  neighbour lists of ``repro.baselines.osr`` and route scoring.
 
 :func:`dijkstra` — one full distance row, from :func:`settle_below` with
 no budget, forwards or on ``Graph.reverse`` — serves brute force and the
 §6 destination leg.
+
+Each call allocates its own work buffers as numpy arrays, so searches are
+reentrant and ``tracemalloc`` sees their memory.  The kernel is a cffi
+extension module named after a hash of its source; the first import
+builds it with the system C compiler and publishes it next to this file,
+and later imports only load it.
 """
 from __future__ import annotations
 
-import heapq
-from collections.abc import Container, Iterable, Iterator, Sequence
+import hashlib
+import importlib
+import os
+import tempfile
+from collections.abc import Container, Iterable, Sequence
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,182 +43,176 @@ from repro.graphs.generator import Graph
 
 INF = float("inf")
 
+_HERE = Path(__file__).resolve().parent
+_CDEF = """
+int64_t settle_below(int64_t n, const int64_t *indptr, const int64_t *indices,
+                     const double *weights, int64_t source, double budget,
+                     const uint8_t *through, const double *mark, double *dist,
+                     int64_t *order, void *work, void *marked_buf,
+                     int64_t *n_marked, double *radius);
+int64_t settle_to(int64_t n, const int64_t *indptr, const int64_t *indices,
+                  const double *weights, const int64_t *sources,
+                  int64_t n_sources, const uint8_t *target, const uint8_t *stop,
+                  int64_t limit, void *work, void *out_buf);
+"""
+# No -ffast-math or -march: every double must be the one Python computes.
+_CFLAGS = ["-O2", "-ffp-contract=off"]
+
+
+def _module_name() -> str:
+    source = (_HERE / "_settle.c").read_bytes()
+    digest = hashlib.sha256(source + _CDEF.encode() + " ".join(_CFLAGS).encode()).hexdigest()
+    return f"_settle_{digest[:16]}"
+
+
+def _build(name: str, directory: Path) -> None:
+    """Compile the kernel as extension module ``repro.graphs.<name>`` and
+    move it into ``directory``.  Raises ``ImportError`` when cffi or a
+    working C compiler is missing."""
+    needs = "repro.graphs.dijkstra builds its shortest-path kernel from _settle.c with cffi and a C compiler"
+    try:
+        import cffi
+    except ImportError as e:
+        raise ImportError(f"{needs}, and cffi is missing: {e}") from e
+    ffi = cffi.FFI()
+    ffi.cdef(_CDEF)
+    ffi.set_source(f"repro.graphs.{name}", (_HERE / "_settle.c").read_text(), extra_compile_args=_CFLAGS)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            built = ffi.compile(tmpdir=tmp)
+            os.replace(built, directory / Path(built).name)
+    except (cffi.VerificationError, ImportError, OSError) as e:
+        raise ImportError(f"{needs}, and the build failed: {e}") from e
+
+
+def _load():
+    name = _module_name()
+    try:
+        return importlib.import_module(f"repro.graphs.{name}")
+    except ModuleNotFoundError:
+        _build(name, _HERE)
+        importlib.invalidate_caches()
+        return importlib.import_module(f"repro.graphs.{name}")
+
+
+_mod = _load()
+_ffi, _lib = _mod.ffi, _mod.lib
+_NULL = _ffi.NULL
+# The record layouts of the kernel's `pair` and `marked_t` structs.
+_PAIR = np.dtype([("dist", np.float64), ("vertex", np.int64)])
+_MARKED = np.dtype([("dist", np.float64), ("vertex", np.int64), ("passed", np.float64)])
+_BYTES = frozenset("?Bbc")  # buffer formats of one byte per entry: bool, uint8, int8, bytes
+
+
+def _checked(per_vertex, n: int, formats: Container[str] = _BYTES):
+    """``per_vertex`` itself, once it is a contiguous buffer of ``n``
+    entries, one per vertex, in one of the struct ``formats``."""
+    view = memoryview(per_vertex)
+    if view.format not in formats or view.shape != (n,) or not view.c_contiguous:
+        raise ValueError(f"expected {n} contiguous entries of format {sorted(formats)}, one per vertex")
+    return per_vertex
+
+
+class Ball(NamedTuple):
+    """One :func:`settle_below` search."""
+
+    order: np.ndarray  # the settled vertices, in settle order
+    dist: np.ndarray  # per vertex: < budget exactly for the settled ones
+    radius: float  # the smallest tentative distance >= budget, inf if none
+    marked: np.ndarray  # (dist, vertex, passed) records of the marked settled vertices
+
 
 def settle_below(
     graph: Graph,
     source: int,
     budget: float,
     *,
-    through: Sequence[bool] | bytes | None = None,
-    marks: dict[int, float] | None = None,
-) -> tuple[dict[int, float], float, dict[int, float]]:
+    through: bytes | np.ndarray | None = None,
+    mark: np.ndarray | None = None,
+) -> Ball:
     """Every vertex closer to ``source`` than ``budget``, in one search.
 
-    Returns ``(dist, radius, passed)``, exactly what a settle-order search
-    gives when stopped at its first ``dist >= budget``:
+    The result is exactly a settle-order search's, stopped at its first
+    ``dist >= budget``:
 
-    * ``dist`` — vertex -> distance for every vertex settled below
-      ``budget``;
-    * ``radius`` — the smallest tentative distance ``>= budget`` (the value
-      the search stops at; ``inf`` when the ball is the whole component);
-    * ``passed`` — for each settled vertex in ``marks``, the largest mark
-      strictly before it on its settle-order shortest path (``0.0`` if
-      none).
+    * ``order`` — the vertices settled below ``budget``, in settle order;
+      ``dist[v]`` is the distance of each, and every other entry of
+      ``dist`` is ``>= budget`` (``inf`` when unreached);
+    * ``radius`` — the distance the search stops at: the smallest tentative
+      distance ``>= budget``, ``inf`` when the ball is the whole component;
+    * ``marked`` — with a float64 array ``mark`` (one entry per vertex),
+      one ``(dist, vertex, passed)`` record per settled vertex with
+      ``mark > 0``, in settle order, where ``passed`` is the largest mark
+      strictly before the vertex on its settle-order shortest path (``0.0``
+      if none).
 
-    A vertex ``u`` with ``through[u]`` false is reached but never walked
-    past.  Only core vertices of ``graph.chains()`` enter the heap, so they
-    settle in settle order; a vertex inside a chain settles at its
-    ``(dist, vertex)`` place, which is where a tie between two relaxers is
-    decided.
+    A vertex whose ``through`` byte is 0 is settled but never walked past.
     """
-    if budget <= 0.0:
-        return {}, 0.0, {}
-    source = int(source)
-    marks = marks or {}
-    chains, adj = graph.chains(), graph.adjacency()
-    dist: dict[int, float] = {source: 0.0}
-    via: dict[int, tuple[int, float]] = {source: (-1, 0.0)}  # core vertex -> (parent, passed)
-    passed: dict[int, float] = {}
-    over: dict[int, float] = {}  # vertex -> smallest tentative distance >= budget
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    source_walks = graph.walks_from(source)
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        d, u = pop(heap)
-        if d > dist[u]:
-            continue  # superseded by a shorter entry already settled
-        pm = via[u][1]
-        if u in marks:
-            passed[u] = pm
-            m = marks[u]
-            if m > pm:
-                pm = m
-        if through is not None and not through[u]:
-            continue
-        for steps, end in source_walks if u == source else chains[u]:
-            nd, p, qm = d, u, pm
-            for v, w in steps:
-                nd += w
-                if nd >= budget:
-                    if nd < over.get(v, INF):
-                        over[v] = nd
-                    break
-                old = dist.get(v, INF)
-                if nd >= old:
-                    # Reached at least as short from the chain's other side;
-                    # on a tie the smaller (dist, vertex) relaxer is the parent.
-                    if nd == old and v in marks and len(adj[v]) == 2:
-                        a, b = adj[v]
-                        q = b[0] if a[0] == p and a[1] == w else a[0]
-                        if (dist[p], p) < (dist[q], q):
-                            passed[v] = qm
-                    break
-                dist[v] = nd
-                if v in marks:
-                    passed[v] = qm
-                    m = marks[v]
-                    if m > qm:
-                        qm = m
-                if through is not None and not through[v]:
-                    break
-                p = v
-            else:
-                if end is None:
-                    continue  # dead end
-                v, w = end
-                nd += w
-                if nd >= budget:
-                    if nd < over.get(v, INF):
-                        over[v] = nd
-                    continue
-                old = dist.get(v, INF)
-                if nd < old:
-                    dist[v] = nd
-                    via[v] = (p, qm)
-                    push(heap, (nd, v))
-                elif nd == old:
-                    # A core relaxer q has been popped, so it settled before
-                    # p; otherwise the smaller (dist, vertex) one is the parent.
-                    # (The source's -1 meets a tie only on an all-core graph.)
-                    q = via[v][0]
-                    if chains[q] is None and (dist[p], p) < (dist[q], q):
-                        via[v] = (p, qm)
-    radius = min((r for v, r in over.items() if v not in dist), default=INF)
-    return dist, radius, passed
+    indptr, indices, weights = graph.csr()
+    n = graph.n_vertices
+    if not 0 <= source < n:
+        raise IndexError(f"source {source} is outside [0, {n})")
+    fb = _ffi.from_buffer
+    dist = np.empty(n)
+    order = np.empty(n, dtype=np.int64)
+    work = np.empty(n + 2 * (len(indices) + 1))  # carry, then the heap
+    if mark is None:
+        marked, marks = np.empty(0, dtype=_MARKED), _NULL
+    else:
+        # An upper bound on the marks > 0: the float64s with a nonzero bit.
+        marked = np.empty(np.count_nonzero(_checked(mark, n, {"d"}).view(np.int64)), dtype=_MARKED)
+        marks = fb("double[]", mark)
+    n_marked = _ffi.new("int64_t *")
+    radius = _ffi.new("double *")
+    count = _lib.settle_below(
+        n, fb("int64_t[]", indptr), fb("int64_t[]", indices), fb("double[]", weights), int(source), budget,
+        _NULL if through is None else fb("uint8_t[]", _checked(through, n)), marks,
+        fb("double[]", dist), fb("int64_t[]", order), fb(work), fb(marked), n_marked, radius,
+    )
+    return Ball(order[:count], dist, radius[0], marked[: n_marked[0]])
 
 
 def settle_to(
     graph: Graph,
-    sources: Iterable[int],
-    targets: Container[int],
-) -> Iterator[tuple[float, int]]:
-    """Yield ``(dist, vertex)`` for the vertices in ``targets`` only, in
-    settle order.
+    sources: Sequence[int] | np.ndarray,
+    target: bytes | np.ndarray,
+    *,
+    stop: bytes | np.ndarray | None = None,
+    limit: int | None = None,
+) -> list[tuple[float, int]]:
+    """``(dist, vertex)`` for the vertices whose ``target`` byte is set, in
+    settle order, from all ``sources`` at once (each at distance 0).
 
-    The output is a settle-order search's, filtered to ``targets``, bit for
-    bit; the caller stops the search by leaving the loop.  Only the core
-    vertices of
-    ``graph.chains()`` and the targets discovered so far enter the heap:
-    degree-2 chains and dead-end branches are walked with stepwise sums as
-    in :func:`settle_below`, a target on a chain is pushed with its
-    tentative distance, and an entry superseded by a shorter one is skipped
-    when popped.  A non-core source is walked out of along each of its
-    edges before the first pop.
+    The output is a settle-order search's, filtered to the targets, bit for
+    bit.  The search stops after ``limit`` targets, or after the first
+    target whose ``stop`` byte is set (which is then the last one listed).
     """
-    chains, adj = graph.chains(), graph.adjacency()
-    dist: dict[int, float] = dict.fromkeys(map(int, sources), 0.0)
-    heap = [(0.0, s) for s in dist if chains[s] is not None or s in targets]
-    heapq.heapify(heap)
-    pop, push, best = heapq.heappop, heapq.heappush, dist.get
-    for s in [s for s in dist if chains[s] is None]:
-        for e in adj[s]:
-            nd, p = 0.0, s
-            while True:
-                v, w = e
-                nd += w
-                if nd >= best(v, INF):
-                    break
-                dist[v] = nd
-                if chains[v] is not None:
-                    push(heap, (nd, v))
-                    break
-                if v in targets:
-                    push(heap, (nd, v))
-                row = adj[v]
-                if len(row) == 1:
-                    break  # dead end
-                a, b = row
-                e = b if a[0] == p and a[1] == w else a  # leave v by its other edge
-                p = v
-    while heap:
-        d, u = pop(heap)
-        if d > dist[u]:
-            continue  # superseded by a shorter entry already popped
-        if u in targets:
-            yield d, u
-        for steps, end in chains[u] or ():
-            nd = d
-            for v, w in steps:
-                nd += w
-                if nd >= best(v, INF):
-                    break  # reached at least as short from the chain's other side
-                dist[v] = nd
-                if v in targets:
-                    push(heap, (nd, v))
-            else:
-                if end is not None:
-                    v, w = end
-                    nd += w
-                    if nd < best(v, INF):
-                        dist[v] = nd
-                        push(heap, (nd, v))
+    indptr, indices, weights = graph.csr()
+    n = graph.n_vertices
+    fb = _ffi.from_buffer
+    src = np.ascontiguousarray(sources, dtype=np.int64)
+    out = np.empty(n if limit is None else min(limit, n), dtype=_PAIR)
+    work = np.empty(n + 2 * (len(src) + len(indices)))  # dist, then the heap
+    count = _lib.settle_to(
+        n, fb("int64_t[]", indptr), fb("int64_t[]", indices), fb("double[]", weights),
+        fb("int64_t[]", src), len(src), fb("uint8_t[]", _checked(target, n)),
+        _NULL if stop is None else fb("uint8_t[]", _checked(stop, n)), len(out), fb(work), fb(out),
+    )
+    if count < 0:
+        raise IndexError(f"a source is outside [0, {n})")
+    return out[:count].tolist()
+
+
+def vertex_mask(n_vertices: int, vertices: Iterable[int]) -> np.ndarray:
+    """A ``bool`` array over the vertices, true at ``vertices``: the
+    ``target`` / ``stop`` / ``through`` form the kernel reads."""
+    mask = np.zeros(n_vertices, dtype=bool)
+    mask[np.fromiter(vertices, dtype=np.intp)] = True
+    return mask
 
 
 def dijkstra(graph: Graph, source: int, *, reverse: bool = False) -> np.ndarray:
     """Distances from ``source`` to every vertex; unreached ones stay
     ``inf``.  ``reverse`` gives distances *to* ``source`` instead, from the
     same search on ``graph.reverse``."""
-    dist = settle_below(graph.reverse if reverse else graph, source, INF)[0]
-    row = np.full(graph.n_vertices, INF)
-    row[list(dist)] = list(dist.values())
-    return row
+    return settle_below(graph.reverse if reverse else graph, source, INF).dist

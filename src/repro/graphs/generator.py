@@ -59,8 +59,6 @@ class Graph:
     _csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, repr=False
     )
-    _adj: list[list[tuple[int, float]]] | None = field(default=None, repr=False)
-    _chains: list | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------- derived
     @property
@@ -70,11 +68,6 @@ class Graph:
     @property
     def n_edges(self) -> int:
         return len(self.edges_u)
-
-    @cached_property
-    def has_zero_weight(self) -> bool:
-        """Some edge weighs 0; :meth:`chains` then makes every vertex core."""
-        return bool((self.edges_w == 0.0).any())
 
     @cached_property
     def reverse(self) -> Graph:
@@ -102,13 +95,6 @@ class Graph:
     def pois_of_category(self, c: int) -> np.ndarray:
         return np.nonzero(self.cat_of == c)[0]
 
-    def pois_of_tree(self, forest: CategoryForest, tree: int) -> np.ndarray:
-        tree_arr = np.asarray(forest.tree_id, dtype=np.int64)
-        mask = self.cat_of >= 0
-        out = np.zeros(self.n_vertices, dtype=bool)
-        out[mask] = tree_arr[self.cat_of[mask]] == tree
-        return np.nonzero(out)[0]
-
     def _build_csr(self, u: np.ndarray, v: np.ndarray, w: np.ndarray):
         order = np.argsort(u, kind="stable")
         u, v, w = u[order], v[order], w[order]
@@ -118,7 +104,8 @@ class Graph:
         return (indptr, v.astype(np.int64), w.astype(np.float64))
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, indices, weights) out-adjacency for Dijkstra loops.
+        """(indptr, indices, weights) out-adjacency, built once per graph:
+        the arrays the shortest-path kernel reads.
 
         Undirected graphs expand each edge both ways; directed ones keep
         the stored orientation only (§6 directed-graph variant).
@@ -132,80 +119,6 @@ class Graph:
                 w = np.concatenate([self.edges_w, self.edges_w])
                 self._csr = self._build_csr(u, v, w)
         return self._csr
-
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        """``adj[u]`` = ``[(v, w), ...]`` in CSR order, as Python ints and
-        floats, built once per graph: the shortest-path kernels' loops read
-        it without numpy scalar indexing."""
-        if self._adj is None:
-            indptr, indices, weights = self.csr()
-            idx, wts, ptr = indices.tolist(), weights.tolist(), indptr.tolist()
-            self._adj = [list(zip(idx[a:b], wts[a:b])) for a, b in zip(ptr, ptr[1:])]
-        return self._adj
-
-    def chains(self) -> list[tuple[Chain, ...] | None]:
-        """Degree-2 chain index of the forward adjacency, built once per graph.
-
-        Core vertices are those of degree 0 or >= 3, plus one promoted vertex
-        (the smallest id) per component that has none.  ``chains[c]`` holds,
-        for each adjacency entry of core vertex ``c``, the walk out along it:
-        ``(steps, end)``, where ``steps`` are the ``(v, w)`` entries through
-        degree-2 vertices (ending at a dead-end leaf, if any) and ``end`` is
-        the entry into the next core vertex, or ``None`` after a leaf.  The
-        entries are the ``adjacency()`` tuples themselves.  Non-core vertices
-        map to ``None``.  On directed graphs, and on graphs with a zero-weight
-        edge, every vertex is core, so every walk is a single edge.
-        """
-        if self._chains is None:
-            adj = self.adjacency()
-            all_core = self.directed or self.has_zero_weight
-            chains: list = [() if all_core or len(row) not in (1, 2) else None for row in adj]
-            covered = bytearray(self.n_vertices)
-
-            def walk_out(c: int) -> None:
-                chains[c] = tuple(_walk(adj, chains, c, e) for e in adj[c])
-                for steps, _end in chains[c]:
-                    for v, _w in steps:
-                        covered[v] = 1
-
-            for c in [c for c, ch in enumerate(chains) if ch is not None]:
-                walk_out(c)
-            for c in range(self.n_vertices):
-                if chains[c] is None and not covered[c]:
-                    chains[c] = ()  # promoted: its component has no core vertex
-                    walk_out(c)
-            self._chains = chains
-        return self._chains
-
-    def walks_from(self, u: int) -> tuple[Chain, ...]:
-        """The chain walks out of any vertex ``u``: the cached ones for a
-        core vertex, walked on demand for a degree-1 or degree-2 one."""
-        chains = self.chains()
-        if chains[u] is not None:
-            return chains[u]
-        adj = self.adjacency()
-        return tuple(_walk(adj, chains, u, e) for e in adj[u])
-
-
-Chain = tuple[tuple[tuple[int, float], ...], tuple[int, float] | None]
-
-
-def _walk(adj: list[list[tuple[int, float]]], chains: list, u: int, e: tuple[int, float]) -> Chain:
-    """Follow adjacency entry ``e`` out of ``u`` through non-core vertices
-    until a core vertex (returned as ``end``) or a dead-end leaf."""
-    steps = []
-    p = u
-    while True:
-        v, w = e
-        if chains[v] is not None:
-            return tuple(steps), e
-        steps.append(e)
-        row = adj[v]
-        if len(row) == 1:
-            return tuple(steps), None
-        a, b = row
-        e = b if a[0] == p and a[1] == w else a  # leave v by its other edge
-        p = v
 
 
 # ------------------------------------------------------------------ builder

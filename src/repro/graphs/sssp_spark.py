@@ -59,14 +59,13 @@ def partitioned_dijkstra(
         emit = b_emit.value
         for pdf in batches:
             for source, cut in zip(pdf["source"].tolist(), pdf["cutoff"].tolist()):
-                ball = settle_below(g, source, cut)[0]
-                vs = [u for u in ball if emit is None or emit[u]]
-                ds = [ball[u] for u in vs]
+                ball = settle_below(g, source, cut)
+                vs = ball.order if emit is None else ball.order[emit[ball.order]]
                 yield pd.DataFrame(
                     {
                         "source": np.full(len(vs), source, dtype=np.int64),
-                        "vertex": np.asarray(vs, dtype=np.int64),
-                        "dist": np.asarray(ds, dtype=np.float64),
+                        "vertex": vs,
+                        "dist": ball.dist[vs],
                     }
                 )
 

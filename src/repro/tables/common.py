@@ -11,7 +11,6 @@ Environment knobs (all optional):
 from __future__ import annotations
 
 import os
-import sys
 import tracemalloc
 from collections.abc import Callable
 
@@ -53,39 +52,18 @@ def get_dataset(name: str, scale: float) -> Dataset:
 
 
 def graph_mem_mb(ds: Dataset) -> float:
-    """Resident bytes of the graph itself (arrays, CSR, the shortest-path
-    kernels' adjacency lists and chain index), in MB.
+    """Resident bytes of the graph itself (its arrays and the CSR the
+    shortest-path kernel reads), in MB.
 
     tracemalloc only sees allocations made while tracing, so the statically
     held graph is added analytically to per-algorithm peaks to mirror the
-    paper's process-level RSS (DESIGN.md §deviations-5).  Building the CSR,
-    adjacency and chain caches here also keeps their one-off construction
-    out of whichever algorithm is traced first.
+    paper's process-level RSS (DESIGN.md §deviations-5).  Building the CSR
+    here also keeps its one-off construction out of whichever algorithm is
+    traced first.
     """
     g = ds.graph
-    adj = g.adjacency()
-    adj_bytes = sys.getsizeof(adj) + sum(
-        sys.getsizeof(row) + sum(sys.getsizeof(e) + sys.getsizeof(e[0]) + sys.getsizeof(e[1]) for e in row)
-        for row in adj
-    )
-    # The chain walks reuse the adjacency's (v, w) tuples; count only the
-    # containers, each shared object (such as the empty tuple) once.
-    chains = g.chains()
-    containers = {
-        id(o): o for walks in chains if walks is not None for o in (walks, *walks, *(s for s, _e in walks))
-    }
-    chain_bytes = sys.getsizeof(chains) + sum(sys.getsizeof(o) for o in containers.values())
-    total = (
-        g.edges_u.nbytes
-        + g.edges_v.nbytes
-        + g.edges_w.nbytes
-        + g.xy.nbytes
-        + g.cat_of.nbytes
-        + sum(a.nbytes for a in g.csr())
-        + adj_bytes
-        + chain_bytes
-    )
-    return total / 1e6
+    arrays = (g.edges_u, g.edges_v, g.edges_w, g.xy, g.cat_of, *g.csr())
+    return sum(a.nbytes for a in arrays) / 1e6
 
 
 def traced_peak_mb(fn: Callable[[], object]) -> float:

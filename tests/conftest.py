@@ -72,10 +72,27 @@ def random_query(graph, forest, rng, size: int, *, distinct_trees: bool = True):
     return v_q, cats
 
 
+def adjacency(graph) -> list[list[tuple[int, float]]]:
+    """``adj[u]`` = ``[(v, w), ...]``: the rows of ``graph.csr()`` as
+    Python ints and floats, in CSR order."""
+    indptr, indices, weights = graph.csr()
+    idx, wts, ptr = indices.tolist(), weights.tolist(), indptr.tolist()
+    return [list(zip(idx[a:b], wts[a:b])) for a, b in zip(ptr, ptr[1:])]
+
+
+def pois_of_tree(graph, forest, tree: int) -> np.ndarray:
+    """The PoI vertices whose primary category lies in category tree ``tree``."""
+    tree_arr = np.asarray(forest.tree_id, dtype=np.int64)
+    mask = graph.cat_of >= 0
+    out = np.zeros(graph.n_vertices, dtype=bool)
+    out[mask] = tree_arr[graph.cat_of[mask]] == tree
+    return np.nonzero(out)[0]
+
+
 def settle(graph, sources, *, through=None):
     """Textbook multi-source Dijkstra: yield ``(dist, vertex, parent)`` for
     each vertex in settle order, every vertex through the heap.  The tests'
-    reference for both kernels of ``repro.graphs.dijkstra``.
+    reference for both entry points of ``repro.graphs.dijkstra``.
 
     Sources enter at distance 0 with parent ``-1``; ``parent`` is the vertex
     whose relaxation gave ``dist``.  Each step settles the smallest
@@ -88,7 +105,7 @@ def settle(graph, sources, *, through=None):
     relaxed.  Leaving the loop ends the search before the last yielded
     vertex is relaxed.
     """
-    adj = graph.adjacency()
+    adj = adjacency(graph)
     dist: dict[int, float] = {}
     heap: list[tuple[float, int, int]] = []
     for s in sources:

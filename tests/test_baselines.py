@@ -21,7 +21,7 @@ from repro.core.query import QueryContext
 from repro.graphs.categories import foursquare_lite_forest, generated_forest
 from repro.graphs.dijkstra import dijkstra, settle_to
 from repro.graphs.generator import graph_from_edges
-from tests.conftest import random_query
+from tests.conftest import pois_of_tree, random_query
 
 
 def brute_osr(graph, v_q, match_sets):
@@ -151,9 +151,11 @@ class TestPNELazyLists:
         sets = [np.array([1, 2, 5]), np.array([3, 6])]
         exhausted = []
 
-        def spy(graph, sources, targets):
-            yield from settle_to(graph, sources, targets)
-            exhausted.append(tuple(sources))  # only reached if the caller never stopped early
+        def spy(graph, sources, target, *, limit=None):
+            found = settle_to(graph, sources, target, limit=limit)
+            if limit is None or len(found) < limit:
+                exhausted.append(tuple(sources))  # the search ran out before the caller's limit
+            return found
 
         monkeypatch.setattr(osr_mod, "settle_to", spy)
         got = osr_pne(g, 0, sets)
@@ -181,7 +183,7 @@ class TestSuperSequences:
         g, f, _rng = random_world_factory(1)
         root0 = 0
         got = set(int(p) for p in subtree_match_set(g, f, root0))
-        want = set(int(p) for p in g.pois_of_tree(f, 0))
+        want = set(int(p) for p in pois_of_tree(g, f, 0))
         assert got == want  # root closure == whole tree
 
     def test_subtree_match_leaf_is_exact(self, random_world_factory):

@@ -20,7 +20,7 @@ from repro.core.scores import is_sequenced_route, route_scores
 from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs.dijkstra import settle_below
 from repro.graphs.generator import graph_from_edges
-from tests.conftest import random_query
+from tests.conftest import adjacency, random_query
 
 ALL_FLAG_COMBOS = [
     BSSROptions(use_nninit=nn, pq_mode=pq, use_min_dist=md, use_cache=ca)
@@ -261,19 +261,20 @@ class TestInstrumentation:
         """Table 7's chunked sum equals the edge-by-edge loop in (dist,
         vertex) order bit for bit, on scans spanning several chunks."""
         g, _f, rng = random_world_factory(5, n_road=600, n_pois=300)
-        adj = g.adjacency()
+        adj = adjacency(g)
         for s in rng.choice(g.n_vertices, 4, replace=False):
             mask = rng.random(g.n_vertices) > 0.1
             mask[s] = True
             for through in (None, mask.tobytes()):
-                dist = settle_below(g, int(s), float("inf"), through=through)[0]
+                ball = settle_below(g, int(s), float("inf"), through=through)
+                dist = dict(zip(ball.order.tolist(), ball.dist[ball.order].tolist()))
                 assert through is not None or len(dist) > 3 * _CHUNK
                 want = 0.0
                 for u in sorted(dist, key=lambda u: (dist[u], u)):
                     if through is None or through[u]:
                         for _v, w in adj[u]:
                             want += w
-                assert _weight_sum(g, dist, through) == want
+                assert _weight_sum(g, ball.order, through) == want
 
     def test_first_scan_matches_full_run(self, tiny_tokyo):
         ds = tiny_tokyo

@@ -7,11 +7,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.categories import foursquare_lite_forest
-from repro.graphs.dijkstra import dijkstra, settle_below, settle_to
+from repro.graphs import dijkstra as dijkstra_mod
+from repro.graphs.dijkstra import dijkstra, vertex_mask
 from repro.graphs.generator import graph_from_edges, road_network
-from tests.conftest import floyd_warshall_reference, multi_source_to_targets, settle
+from tests.conftest import adjacency, floyd_warshall_reference, multi_source_to_targets, settle
 
 INF = float("inf")
+
+
+def settle_below(g, source, budget, *, through=None, marks=None):
+    """The kernel's ``settle_below`` with ``marks`` as a vertex -> mark dict,
+    its result as ``(dist, radius, passed)`` dicts, as the reference gives."""
+    mark = None
+    if marks is not None:
+        mark = np.zeros(g.n_vertices)
+        mark[list(marks)] = list(marks.values())
+    ball = dijkstra_mod.settle_below(g, source, budget, through=through, mark=mark)
+    dist = dict(zip(ball.order.tolist(), ball.dist[ball.order].tolist()))
+    return dist, ball.radius, {u: passed for _d, u, passed in ball.marked.tolist()}
+
+
+def settle_to(g, sources, targets):
+    """The kernel's ``settle_to`` towards a set of target vertices."""
+    return dijkstra_mod.settle_to(g, sources, vertex_mask(g.n_vertices, targets))
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +54,7 @@ class TestDijkstraVsFloydWarshall:
     def test_settle_order_distances_and_parents(self, graphs, seed):
         g = graphs[seed]
         ref = floyd_warshall_reference(g)
-        adj = g.adjacency()
+        adj = adjacency(g)
         for s in range(0, g.n_vertices, 7):
             got = list(settle(g, [s]))
             ds = [d for d, _u, _p in got]
@@ -59,7 +77,7 @@ class TestDijkstraVsFloydWarshall:
         g = graphs[seed]
         through = np.random.default_rng(seed).random(g.n_vertices) > 0.2
         through[0] = True
-        adj = g.adjacency()
+        adj = adjacency(g)
         pruned = graph_from_edges(
             g.n_vertices,
             [(u, v, w) for u in range(g.n_vertices) if through[u] for v, w in adj[u]],
@@ -178,7 +196,7 @@ _EVERY_SHAPE = [
 
 
 class TestSettleBelow:
-    """The chain-compressed budgeted search against the settle-order scan."""
+    """The budgeted search against the settle-order scan."""
 
     @settings(max_examples=300, deadline=None)
     @given(_small_worlds(st.integers(0, 4)))
@@ -205,25 +223,6 @@ class TestSettleBelow:
         marks = {1: 0.5, 4: 1.0, 5: 1.0, 6: 0.25, 7: 0.5, 9: 1.0, 11: 1.0, 12: 0.5, 14: 1.0, 15: 0.25}
         mask = bytes(marks.get(v) != 1.0 for v in range(17)) if through == "perfect" else None
         _assert_matches_reference(g, marks, mask)
-
-    @settings(max_examples=100, deadline=None)
-    @given(_small_worlds(st.integers(0, 4)))
-    def test_chain_index_shape(self, world):
-        g = world[0]
-        adj, chains = g.adjacency(), g.chains()
-        core = {u for u, c in enumerate(chains) if c is not None}
-        if g.directed or g.has_zero_weight:
-            assert core == set(range(g.n_vertices))
-        assert {u for u, row in enumerate(adj) if len(row) not in (1, 2)} <= core
-        covered = set(core)
-        for c in core:
-            assert len(chains[c]) == len(adj[c])
-            for (steps, end), first in zip(chains[c], adj[c]):
-                assert (steps[0] if steps else end) is first  # the adjacency's own tuples
-                assert all(v not in core for v, _w in steps)
-                assert end is None and len(adj[steps[-1][0]]) == 1 or end[0] in core
-                covered.update(v for v, _w in steps)
-        assert covered == set(range(g.n_vertices))
 
 
 @st.composite
@@ -304,6 +303,32 @@ class TestMultiSource:
 
     def test_overlapping_source_target(self, graphs):
         assert multi_source_to_targets(graphs[0], [4, 5], [5, 9]) == 0.0
+
+
+class TestKernelBuild:
+    def test_missing_compiler_names_what_the_build_needs(self, tmp_path, monkeypatch):
+        """Building with a C compiler that does not exist fails with an
+        ``ImportError`` naming both build requirements, and publishes
+        nothing."""
+        monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
+        with pytest.raises(ImportError, match="C compiler") as err:
+            dijkstra_mod._build("_settle_no_compiler", tmp_path)
+        assert "cffi" in str(err.value)
+        assert not list(tmp_path.glob("_settle_no_compiler*"))
+
+    def test_source_and_vertex_arrays_are_checked(self, graphs):
+        """A source outside the graph or a per-vertex array of the wrong
+        size raises instead of reaching the kernel."""
+        g = graphs[0]
+        n = g.n_vertices
+        with pytest.raises(IndexError):
+            dijkstra(g, n)
+        with pytest.raises(IndexError):
+            dijkstra_mod.settle_to(g, [0, -1], vertex_mask(n, [1]))
+        with pytest.raises(ValueError):
+            dijkstra_mod.settle_to(g, [0], vertex_mask(n + 1, [1]))
+        with pytest.raises(ValueError):
+            dijkstra_mod.settle_below(g, 0, INF, mark=np.zeros(n, dtype=np.float32))
 
 
 class TestDuckDBOracle:

@@ -18,6 +18,7 @@ from repro.graphs.generator import (
     popular_leaf_categories,
     road_network,
 )
+from tests.conftest import pois_of_tree
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +203,7 @@ class TestHelpers:
         f = foursquare_lite_forest()
         all_pois = set()
         for t in range(f.n_trees):
-            ps = small_graph.pois_of_tree(f, t)
+            ps = pois_of_tree(small_graph, f, t)
             for p in ps:
                 assert f.tree_id[int(small_graph.cat_of[p])] == t
             all_pois |= set(int(p) for p in ps)
@@ -234,6 +235,26 @@ def test_local_engines_import_neither_pandas_nor_pyspark():
         "import repro.tables.table6, repro.tables.table7, repro.tables.table8, repro.tables.table9\n"
         "loaded = sorted({'pandas', 'pyspark'} & set(sys.modules))\n"
         "assert not loaded, loaded\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    r = subprocess.run([sys.executable, "-c", code], env=env, cwd=root, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
+def test_built_kernel_loads_without_its_build_tools():
+    """Once the shortest-path kernel is built, a fresh interpreter's local
+    engines load only the built module and ``_cffi_backend``: neither
+    cffi's parser nor setuptools."""
+    import repro.graphs.dijkstra  # noqa: F401  (builds the kernel if it is missing)
+
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "import repro.core.bssr, repro.baselines.naive\n"
+        "tools = {'pycparser', 'setuptools'}\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in tools or m == 'cffi.api')\n"
+        "assert not loaded, loaded\n"
+        "assert '_cffi_backend' in sys.modules\n"
     )
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     r = subprocess.run([sys.executable, "-c", code], env=env, cwd=root, capture_output=True, text=True)

@@ -10,7 +10,7 @@ from repro.core.bssr import bssr
 from repro.core.query import QueryContext
 from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs.generator import road_network
-from tests.conftest import random_query
+from tests.conftest import pois_of_tree, random_query
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ class TestMatchTables:
         v_q, cats = random_query(g, f, rng, 2)
         ctx = QueryContext(g, f, v_q, cats)
         for i, c in enumerate(cats):
-            want = set(int(p) for p in g.pois_of_tree(f, f.tree_id[c]))
+            want = set(int(p) for p in pois_of_tree(g, f, f.tree_id[c]))
             assert set(ctx.match_sims[i]) == want
 
 
