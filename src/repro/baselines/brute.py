@@ -30,7 +30,7 @@ def brute_force_skysr(
     max_candidates: int = 2_000_000,
 ) -> list[tuple[float, float, tuple[int, ...]]]:
     ctx = QueryContext(graph, forest, v_q, seq_cats, destination)
-    match_sets = [list(ctx.match_sims[i]) for i in range(ctx.k)]
+    match_sets = [np.flatnonzero(row).tolist() for row in ctx.sim]
     n_combo = 1
     for m in match_sets:
         n_combo *= max(len(m), 1)

@@ -6,7 +6,9 @@ matching position ``i`` to any PoI semantically matching position ``i+1``;
 from the multi-source multi-destination Dijkstra of Lemma 5.9 (all sources
 seeded at 0 in one queue; the first settled destination is the minimum).
 The perfect matches are a subset of the semantic ones, so one search per
-leg yields both minima instead of one search per source.
+leg yields both minima instead of one search per source.  Both sets are
+comparisons on the query's match table: ``QueryContext.sim > 0`` and
+``QueryContext.sim == 1.0``.
 
 Algorithm 4 restricts the PoI sets to those within ``l̄(φ)`` of the start
 point (the threshold for a semantic-score-0 route, known after NNinit) —
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.query import QueryContext
-from repro.graphs.dijkstra import settle_below, settle_to, vertex_mask
+from repro.graphs.dijkstra import settle_below, settle_to
 from repro.graphs.dijkstra import dijkstra  # noqa: F401  (perfbench's tracer wraps this module's name)
 from repro.graphs.generator import Graph
 
@@ -69,17 +71,15 @@ class MinDistBounds:
         return self.lp_suffix[route_size]
 
 
-def _pois_in_range(ctx: QueryContext, threshold0: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per position, masks of the semantic and the perfect matches closer to
-    ``v_q`` than ``threshold0`` (Algorithm 4 lines 3–4).  The range ball is
-    released on return, before the leg searches run."""
-    n = ctx.graph.n_vertices
-    tree = [vertex_mask(n, ctx.match_sims[i]) for i in range(ctx.k)]
-    perfect = [vertex_mask(n, ctx.perfect(i)) for i in range(ctx.k)]
+def _pois_in_range(ctx: QueryContext, threshold0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per position (one row each), masks of the semantic and the perfect
+    matches closer to ``v_q`` than ``threshold0`` (Algorithm 4 lines 3–4).
+    The range ball is released on return, before the leg searches run."""
+    tree, perfect = ctx.sim > 0, ctx.sim == 1.0
     if np.isfinite(threshold0):
         near = settle_below(ctx.graph, ctx.v_q, threshold0).dist < threshold0
-        for mask in (*tree, *perfect):
-            mask &= near
+        tree &= near
+        perfect &= near
     return tree, perfect
 
 

@@ -33,8 +33,6 @@ import heapq
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.bounds import MinDistBounds
 from repro.core.dominance import SkylineSet, score_key
 from repro.core.nninit import nninit, nninit_ratio
@@ -124,30 +122,6 @@ def bssr_first_scan(
     return run.stats
 
 
-_CHUNK = 256  # vertices per gather in _weight_sum
-
-
-def _weight_sum(g: Graph, order: np.ndarray, through: bytes | np.ndarray | None) -> float:
-    """Table 7: the weights of the edges a scan relaxes, summed one by one
-    in settle order (``order``), as the scan's own loop over the CSR rows
-    would.  ``cumsum`` adds in sequence, and each chunk starts from the
-    previous chunk's total, so the sum is that loop's, bit for bit.  The
-    small chunks keep the traced peak at or below that loop's, which
-    Table 6 measures."""
-    indptr, _indices, weights = g.csr()
-    if through is not None:
-        order = order[np.frombuffer(through, dtype=bool)[order]]
-    total = 0.0
-    for i in range(0, len(order), _CHUNK):
-        lo = indptr[order[i : i + _CHUNK]]
-        n = indptr[order[i : i + _CHUNK] + 1] - lo
-        w = weights[np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())]
-        if len(w):
-            w[0] += total
-            total = float(np.cumsum(w, out=w)[-1])
-    return total
-
-
 class _BSSRRun:
     def __init__(
         self,
@@ -164,13 +138,10 @@ class _BSSRRun:
         # Lemma 5.5 / caching are only route-independent when the query's
         # match sets are pairwise disjoint (DESIGN.md §deviations-3).
         self.cache_on = options.use_cache and self.ctx.trees_distinct
-        # Per position, the kernel's marks: each vertex's similarity, 0 if
-        # it does not match.  Lemma 5.5-ii: the modified Dijkstra never
-        # passes a perfect match, so ``through`` is false exactly there.
-        self.mark = [np.zeros(graph.n_vertices) for _sim in self.ctx.match_sims]
-        for mark, sim in zip(self.mark, self.ctx.match_sims):
-            mark[list(sim)] = list(sim.values())
-        self.through = [m != 1.0 if self.ctx.trees_distinct else None for m in self.mark]
+        # The kernel's marks are the rows of ``ctx.sim``.  Lemma 5.5-ii: the
+        # modified Dijkstra never passes a perfect match, so ``through`` is
+        # false exactly there.
+        self.through = self.ctx.sim != 1.0 if self.ctx.trees_distinct else None
         self.cache: dict[tuple[int, int], _CacheEntry] = {}
         self.S = SkylineSet()
         self.bounds = MinDistBounds.zeros(self.ctx.k)
@@ -211,16 +182,18 @@ class _BSSRRun:
     def _scan(self, p_d: int, pos: int, budget: float) -> _CacheEntry:
         """One modified-Dijkstra execution (Algorithm 2), complete for all
         matching PoIs with ``dist < budget`` from ``p_d``."""
-        g = self.ctx.graph
-        sim = self.ctx.match_sims[pos]
-        through = self.through[pos]
-        ball = settle_below(g, p_d, budget, through=through, mark=self.mark[pos])
+        sim = self.ctx.sim[pos]
+        through = None if self.through is None else self.through[pos]
+        ball = settle_below(self.ctx.graph, p_d, budget, through=through, mark=sim)
         self.stats.visited_vertices += len(ball.order)
         # passed: best similarity on u's shortest path before u (Lemma 5.5-i).
         # The matches come in settle order, the order Algorithm 2 meets them.
-        cands = [(d, u, sim[u]) for d, u, before in ball.marked.tolist() if through is None or sim[u] > before]
+        sims = sim[ball.marked["vertex"]].tolist()
+        cands = [
+            (d, u, s) for (d, u, before), s in zip(ball.marked.tolist(), sims) if through is None or s > before
+        ]
         if self.stats.mdijkstra_runs == 0:
-            self.stats.first_weight_sum = _weight_sum(g, ball.order, through)
+            self.stats.first_weight_sum = ball.weight_sum
             self.stats.first_radius = float(ball.dist[ball.order[-1]]) if len(ball.order) else 0.0
         self.stats.mdijkstra_runs += 1
         return _CacheEntry(cands, ball.radius)

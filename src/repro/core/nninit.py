@@ -3,8 +3,9 @@
 Greedily chains nearest *perfect* matches: one search per position, each
 started from the PoI just found and stopped at the first perfect match it
 settles.  The searches run on :func:`~repro.graphs.dijkstra.settle_to`, so
-only the position's matches (``QueryContext.match_sims``) not yet on the
-route are listed, the perfect one last.
+only the position's matches not yet on the route are listed, the perfect one
+last: the targets are ``QueryContext.sim[i] > 0`` without the route, and the
+stops ``sim[i] == 1.0``.
 During the final position's search every semantically matching PoI settled
 before the perfect one also completes a sequenced route, so NNinit returns
 several routes — one with semantic score 0 (the branch-and-bound seed for
@@ -22,7 +23,7 @@ from __future__ import annotations
 from repro.core.dominance import SkylineSet
 from repro.core.query import QueryContext
 from repro.core.scores import semantic_score
-from repro.graphs.dijkstra import settle_to, vertex_mask
+from repro.graphs.dijkstra import settle_to
 from repro.graphs.dijkstra import dijkstra  # noqa: F401  (perfbench's tracer wraps this module's name)
 
 
@@ -33,19 +34,18 @@ def nninit(ctx: QueryContext) -> SkylineSet:
     total_len = 0.0
     start = ctx.v_q
     dest_extra = ctx.dest_dist
-    n = ctx.graph.n_vertices
 
     for i in range(ctx.k):
-        sim = ctx.match_sims[i]
-        target = vertex_mask(n, sim)
+        sim = ctx.sim[i]
+        target = sim > 0
         target[list(route)] = False
-        found = settle_to(ctx.graph, (start,), target, stop=vertex_mask(n, ctx.perfect(i)))
+        found = settle_to(ctx.graph, (start,), target, stop=sim == 1.0)
         if i == ctx.k - 1:
             # Every semantic match settled on the way in completes a
             # sequenced route (Algorithm 3 lines 9–11).
             for d, u in found:
                 l = total_len + d + (dest_extra[u] if dest_extra is not None else 0.0)
-                S.update(l, semantic_score(sim[u]), route + (u,))
+                S.update(l, semantic_score(ctx.sim_at(i, u)), route + (u,))
         if not found or sim[found[-1][1]] != 1.0:
             break  # no perfect match reachable — return what we have
         d, u = found[-1]

@@ -1,13 +1,17 @@
 """Per-query precomputation shared by every SkySR engine.
 
-One table per query.  For each position ``i`` of ``S_q``, ``match_sims[i]``
-maps every vertex that semantically matches ``c_i`` (Def. 3.4-ii: its
-category lies in ``c_i``'s tree; a §6 multi-category PoI matches through its
-best category) to its Wu–Palmer similarity, in vertex order.  Every other
-per-position view is read from that table: :meth:`QueryContext.sim_at`,
-:meth:`QueryContext.perfect` and the match sets themselves.  BSSR, NNinit,
-the bounds, the Spark pipeline, brute force, the naive baselines' scoring
-and route scoring therefore agree on what matches and how well.
+One table per query: ``sim``, a ``(k, n_vertices)`` float64 array whose
+entry ``sim[i, v]`` is vertex ``v``'s Wu–Palmer similarity to ``S_q[i]``
+(Def. 3.4-ii), and 0 when ``v`` does not match, i.e. when none of its
+categories lies in ``S_q[i]``'s tree.  A §6 multi-category PoI matches
+through its best category.  Row ``i`` is one
+:meth:`~repro.graphs.categories.CategoryForest.sim_row` per position,
+gathered through ``cat_of``.  Every per-position view is a comparison on
+that table: the matches are ``sim[i] > 0``, the perfect matches
+``sim[i] == 1.0``, and BSSR's modified Dijkstra reads ``sim[i]`` itself as
+its marks.  BSSR, NNinit, the bounds, the Spark pipeline, brute force, the
+naive baselines' scoring and route scoring therefore agree on what matches
+and how well.
 
 The §6 destination leg is computed here once: ``dest_dist`` holds every
 vertex's distance *to* the destination, from one reverse search, or is
@@ -50,7 +54,7 @@ class QueryContext:
     seq_cats: list[int]
     destination: int | None = None
 
-    match_sims: list[dict[int, float]] = field(init=False)  # per position: matching vertex -> sim
+    sim: np.ndarray = field(init=False)  # (k, n_vertices): each vertex's sim to S_q[i], 0 = no match
     max_nonperfect: list[float] = field(init=False)
     trees_distinct: bool = field(init=False)
     dest_dist: np.ndarray | None = field(init=False)  # per vertex: distance to the destination
@@ -65,32 +69,28 @@ class QueryContext:
         for c in self.seq_cats:
             if not 0 <= c < forest.n_categories:
                 raise ValueError(f"category id {c} is outside [0, {forest.n_categories})")
-        self.match_sims = []
-        self.max_nonperfect = []
-        for c in self.seq_cats:
-            simmap = np.zeros(forest.n_categories)
-            for c2 in range(forest.n_categories):
-                if forest.same_tree(c2, c):
-                    simmap[c2] = forest.sim(c2, c)
-            arr = np.zeros(g.n_vertices)
-            mask = g.cat_of >= 0
-            arr[mask] = simmap[g.cat_of[mask]]
-            # §6 "PoI with multiple categories": a PoI matches through its
-            # best category (the paper allows highest-or-average; we use
-            # highest).
-            for p, cats in g.extra_cats.items():
-                for c2 in cats:
-                    arr[p] = max(arr[p], simmap[c2])
-            tree = np.nonzero(arr > 0)[0]
-            self.match_sims.append(dict(zip(tree.tolist(), arr[tree].tolist())))
-            nonperf = simmap[(simmap > 0) & (simmap < 1.0)]
-            self.max_nonperfect.append(float(nonperf.max()) if len(nonperf) else 0.0)
+        # One Wu–Palmer row per position, and a last column of zeros that a
+        # road vertex's cat_of of -1 picks.  ``take`` keeps the rows
+        # contiguous, as the kernel reads them.
+        rows = np.zeros((self.k, forest.n_categories + 1))
+        for i, c in enumerate(self.seq_cats):
+            rows[i, :-1] = forest.sim_row(c)
+        self.sim = rows.take(g.cat_of, axis=1)
+        # §6 "PoI with multiple categories": a PoI matches through its best
+        # category (the paper allows highest-or-average; we use highest).
+        for p, cats in g.extra_cats.items():
+            self.sim[:, p] = rows[:, [g.cat_of[p], *cats]].max(axis=1)
+        self.max_nonperfect = [forest.max_nonperfect_sim(c) for c in self.seq_cats]
         # Gate for Lemma 5.5 / on-the-fly caching: those arguments need the
         # per-position match sets to be pairwise disjoint (then a route's
-        # earlier PoIs can never matter to a later position's search).
-        # Set disjointness is the precise condition; distinct trees (the
-        # paper's workload constraint) implies it for single-category PoIs.
-        self.trees_distinct = pairwise_disjoint(self.match_sims)
+        # earlier PoIs can never matter to a later position's search), i.e.
+        # no column of ``sim`` has two nonzero entries.  Distinct trees (the
+        # paper's workload constraint) imply it for single-category PoIs.
+        seen = np.zeros(g.n_vertices, dtype=bool)
+        self.trees_distinct = True
+        for hit in self.sim > 0:
+            self.trees_distinct &= not (seen & hit).any()
+            seen |= hit
         # §6 destination leg: one search from the destination on the
         # reversed graph, which is the graph itself when undirected.
         self.dest_dist = (
@@ -103,11 +103,7 @@ class QueryContext:
 
     def sim_at(self, pos: int, vertex: int) -> float:
         """Similarity of ``vertex``'s category to ``S_q[pos]`` (0 = no match)."""
-        return self.match_sims[pos].get(vertex, 0.0)
-
-    def perfect(self, pos: int) -> list[int]:
-        """The perfect matches of position ``pos`` (sim 1), in vertex order."""
-        return [v for v, s in self.match_sims[pos].items() if s == 1.0]
+        return float(self.sim[pos, vertex])
 
     def max_nonperfect_suffix(self, pos: int) -> float:
         """Largest non-perfect similarity over positions ``pos..k-1`` — the

@@ -4,11 +4,12 @@ pipeline (the ``repro`` band's target mapping).
 One level per category position, bulk-synchronously:
 
 1. **semantic hierarchy filter** — the PoIs matching position ``i`` and
-   their similarities are read from the query's
-   :class:`~repro.core.query.QueryContext` (``match_sims[i]``), the same
+   their similarities are read from row ``i`` of the query's
+   :class:`~repro.core.query.QueryContext` table ``sim``, the same
    definition local BSSR and brute force use, so a §6 multi-category PoI
-   matches through its best category here too.  They become the distance
-   engine's ``emit_only`` mask and a small ``(vertex, sim)`` frame;
+   matches through its best category here too.  ``sim[i] > 0`` is the
+   distance engine's ``emit_only`` mask, and its entries become a small
+   ``(vertex, sim)`` frame;
 2. **distance join** — multi-source shortest paths from the frontier's
    endpoint PoIs to the position's matches (`repro.graphs.sssp_spark`),
    with per-source cutoffs derived from the branch-and-bound thresholds;
@@ -152,13 +153,14 @@ def skysr_spark(
         }
         if not src_budget:
             break
-        matches = ctx.match_sims[pos]
-        emit = np.zeros(graph.n_vertices, dtype=bool)
-        emit[list(matches)] = True
+        sim = ctx.sim[pos]
+        emit = sim > 0
         dists = partitioned_dijkstra(
             spark, graph, sorted(src_budget), cutoffs=src_budget, emit_only=emit
         )
-        match_rows, match_schema = list(matches.items()), "vertex LONG, sim DOUBLE"
+        matches = np.flatnonzero(emit)
+        match_rows = list(zip(matches.tolist(), sim[matches].tolist()))
+        match_schema = "vertex LONG, sim DOUBLE"
         new_length = F.col("length") + F.col("dist")
         if pos == k - 1 and ctx.dest_dist is not None:
             # §6 destination leg: only the last position's matches that reach

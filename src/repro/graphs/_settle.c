@@ -76,17 +76,20 @@ static inline pair pop(pair *heap, int64_t *size)
  * When `mark` is given, each settled vertex with mark > 0 goes to `marked`
  * in settle order, with its distance and the largest mark strictly before
  * it on its path from the source (0 if none); `*n_marked` counts them.
+ * `*weight_sum` is the sum of the weights the search relaxes, added one by
+ * one in settle order and CSR row order.
  * `work` holds n doubles, then room for 1 + indptr[n] heap pairs. */
 int64_t settle_below(int64_t n, const int64_t *indptr, const int64_t *indices,
                      const double *weights, int64_t source, double budget,
                      const uint8_t *through, const double *mark, double *dist,
                      int64_t *order, void *work, void *marked_buf,
-                     int64_t *n_marked, double *radius)
+                     int64_t *n_marked, double *radius, double *weight_sum)
 {
     double *carry = work; /* per vertex: the largest mark before it */
     pair *heap = (pair *)(carry + n);
     marked_t *marked = marked_buf;
     int64_t size = 0, count = 0, nm = 0;
+    double ws = 0.0;
     for (int64_t i = 0; i < n; i++)
         dist[i] = INFINITY;
     dist[source] = 0.0;
@@ -115,6 +118,7 @@ int64_t settle_below(int64_t n, const int64_t *indptr, const int64_t *indices,
         for (int64_t j = indptr[u]; j < indptr[u + 1]; j++) {
             int64_t x = indices[j];
             double nd = d + weights[j];
+            ws += weights[j];
             if (nd < dist[x]) {
                 dist[x] = nd;
                 carry[x] = pm;
@@ -123,6 +127,7 @@ int64_t settle_below(int64_t n, const int64_t *indptr, const int64_t *indices,
         }
     }
     *n_marked = nm;
+    *weight_sum = ws;
     return count;
 }
 

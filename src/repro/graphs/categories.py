@@ -14,11 +14,16 @@ get ``sim = 2*1/(2+2) = 0.5``.  (Eq. 6 writes a max over ancestors of ``c'``
 of the deepest common ancestor of ``c`` and that ancestor; since the common
 ancestors of ``c`` and any ancestor of ``c'`` are a subset of those of
 ``c`` and ``c'``, the max is attained at ``c'`` itself and the expression
-reduces to the LCA form implemented here.)
+reduces to the LCA form implemented here.)  :meth:`CategoryForest.sim_row`
+computes it for every category against one, from an ancestor-at-depth
+table built with the forest; the scalar ``sim`` and footnote 2's delta read
+that row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass
@@ -41,16 +46,26 @@ class CategoryForest:
     tree_id: list[int]
     depth: list[int]
     name: list[str]
-    _anc_cache: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
     _kids: list[list[int]] = field(init=False, repr=False)
+    _depth: np.ndarray = field(init=False, repr=False)  # ``depth`` as int64
+    # _anc[d - 1, c]: the ancestor of c at depth d, -1 for d > depth[c]
+    _anc: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # Built with the forest, like a graph's CSR, so no engine pays for it
-        # on its first call (Table 6 traces each engine's allocations).
+        # Built with the forest, like a graph's CSR, so no engine pays for
+        # them on its first call (Table 6 traces each engine's allocations).
         self._kids = [[] for _ in self.parent]
         for i, p in enumerate(self.parent):
             if p != -1:
                 self._kids[p].append(i)
+        parent = np.asarray(self.parent, dtype=np.int64)
+        depth = self._depth = np.asarray(self.depth, dtype=np.int64)
+        self._anc = np.full((int(depth.max(initial=0)), len(parent)), -1, dtype=np.int64)
+        cats = up = np.arange(len(parent))
+        while len(up):  # one step up every category's chain at a time
+            self._anc[depth[up] - 1, cats] = up
+            keep = parent[up] != -1
+            cats, up = cats[keep], parent[up[keep]]
 
     # ---------------------------------------------------------------- basics
     @property
@@ -59,17 +74,7 @@ class CategoryForest:
 
     def ancestors(self, c: int) -> tuple[int, ...]:
         """Ancestors of ``c`` from ``c`` itself up to its root (inclusive)."""
-        hit = self._anc_cache.get(c)
-        if hit is not None:
-            return hit
-        chain = []
-        x = c
-        while x != -1:
-            chain.append(x)
-            x = self.parent[x]
-        out = tuple(chain)
-        self._anc_cache[c] = out
-        return out
+        return tuple(self._anc[self.depth[c] - 1 :: -1, c].tolist())
 
     def children(self, c: int) -> list[int]:
         return list(self._kids[c])
@@ -89,42 +94,31 @@ class CategoryForest:
         return len({t for t in self.tree_id})
 
     # ---------------------------------------------------------- similarity
-    def lca(self, c1: int, c2: int) -> int:
-        """Deepest common ancestor of two categories, or -1 across trees."""
-        if self.tree_id[c1] != self.tree_id[c2]:
-            return -1
-        a2 = set(self.ancestors(c2))
-        for a in self.ancestors(c1):  # walks upward, so first hit is deepest
-            if a in a2:
-                return a
-        return -1
+    def sim_row(self, c: int) -> np.ndarray:
+        """Wu–Palmer similarity (Eq. 6) of every category to ``c``, as one
+        float64 per category: 0 across trees, 1 at ``c`` itself.
+
+        Two chains agree from the root down to their deepest common
+        ancestor and nowhere below it, so the LCA's depth is the number of
+        depths ``<= depth[c]`` at which a category's ancestor is ``c``'s.
+        """
+        d = self.depth[c]
+        lca_depth = np.count_nonzero(self._anc[:d] == self._anc[:d, c, None], axis=0)
+        return 2.0 * lca_depth / (self._depth + d)
 
     def sim(self, c1: int, c2: int) -> float:
-        """Wu–Palmer similarity (Eq. 6): 0 across trees, 1 on equality."""
-        if c1 == c2:
-            return 1.0
-        m = self.lca(c1, c2)
-        if m == -1:
-            return 0.0
-        return 2.0 * self.depth[m] / (self.depth[c1] + self.depth[c2])
-
-    def same_tree(self, c1: int, c2: int) -> bool:
-        return self.tree_id[c1] == self.tree_id[c2]
+        """Wu–Palmer similarity of two categories, read from :meth:`sim_row`."""
+        return float(self.sim_row(c2)[c1])
 
     def max_nonperfect_sim(self, c: int) -> float:
-        """Largest ``sim(c', c) < 1`` over the tree of ``c``.
+        """Largest ``sim(c', c) < 1`` over the forest, 0 if there is none.
 
         This is the paper's footnote-2 quantity behind the minimum semantic
         increment delta of Lemma 5.8: if a route cannot match position ``i``
         perfectly, the factor it contributes is at most this value.
         """
-        best = 0.0
-        for c2 in range(self.n_categories):
-            if c2 != c and self.tree_id[c2] == self.tree_id[c]:
-                s = self.sim(c, c2)
-                if s < 1.0 and s > best:
-                    best = s
-        return best
+        row = self.sim_row(c)
+        return float(row[row < 1.0].max(initial=0.0))
 
 
 # ------------------------------------------------------------ constructors

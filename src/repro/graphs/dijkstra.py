@@ -49,7 +49,7 @@ int64_t settle_below(int64_t n, const int64_t *indptr, const int64_t *indices,
                      const double *weights, int64_t source, double budget,
                      const uint8_t *through, const double *mark, double *dist,
                      int64_t *order, void *work, void *marked_buf,
-                     int64_t *n_marked, double *radius);
+                     int64_t *n_marked, double *radius, double *weight_sum);
 int64_t settle_to(int64_t n, const int64_t *indptr, const int64_t *indices,
                   const double *weights, const int64_t *sources,
                   int64_t n_sources, const uint8_t *target, const uint8_t *stop,
@@ -120,6 +120,7 @@ class Ball(NamedTuple):
     dist: np.ndarray  # per vertex: < budget exactly for the settled ones
     radius: float  # the smallest tentative distance >= budget, inf if none
     marked: np.ndarray  # (dist, vertex, passed) records of the marked settled vertices
+    weight_sum: float  # the relaxed edges' weights, summed in settle order (Table 7)
 
 
 def settle_below(
@@ -144,7 +145,10 @@ def settle_below(
       one ``(dist, vertex, passed)`` record per settled vertex with
       ``mark > 0``, in settle order, where ``passed`` is the largest mark
       strictly before the vertex on its settle-order shortest path (``0.0``
-      if none).
+      if none);
+    * ``weight_sum`` — the weights of the edges the search relaxes, that is
+      every edge out of a settled vertex it walks past, added one by one in
+      settle order and CSR row order.
 
     A vertex whose ``through`` byte is 0 is settled but never walked past.
     """
@@ -164,12 +168,13 @@ def settle_below(
         marks = fb("double[]", mark)
     n_marked = _ffi.new("int64_t *")
     radius = _ffi.new("double *")
+    weight_sum = _ffi.new("double *")
     count = _lib.settle_below(
         n, fb("int64_t[]", indptr), fb("int64_t[]", indices), fb("double[]", weights), int(source), budget,
         _NULL if through is None else fb("uint8_t[]", _checked(through, n)), marks,
-        fb("double[]", dist), fb("int64_t[]", order), fb(work), fb(marked), n_marked, radius,
+        fb("double[]", dist), fb("int64_t[]", order), fb(work), fb(marked), n_marked, radius, weight_sum,
     )
-    return Ball(order[:count], dist, radius[0], marked[: n_marked[0]])
+    return Ball(order[:count], dist, radius[0], marked[: n_marked[0]], weight_sum[0])
 
 
 def settle_to(

@@ -72,6 +72,41 @@ def random_query(graph, forest, rng, size: int, *, distinct_trees: bool = True):
     return v_q, cats
 
 
+def matches(ctx, pos: int) -> list[int]:
+    """The vertices matching position ``pos`` of a ``QueryContext``
+    (``sim > 0``), in vertex order."""
+    return np.flatnonzero(ctx.sim[pos]).tolist()
+
+
+def perfect_matches(ctx, pos: int) -> list[int]:
+    """The perfect matches (``sim == 1``) of position ``pos``, in vertex order."""
+    return np.flatnonzero(ctx.sim[pos] == 1.0).tolist()
+
+
+def lca(forest, c1: int, c2: int) -> int:
+    """Deepest common ancestor of two categories, or -1 across trees, by
+    walking ``c1``'s ancestor chain upwards."""
+    if forest.tree_id[c1] != forest.tree_id[c2]:
+        return -1
+    a2 = set(forest.ancestors(c2))
+    for a in forest.ancestors(c1):  # walks upward, so first hit is deepest
+        if a in a2:
+            return a
+    return -1
+
+
+def wu_palmer(forest, c1: int, c2: int) -> float:
+    """Wu–Palmer similarity (Eq. 6) of two categories from :func:`lca`: 0
+    across trees, 1 on equality.  The tests' reference for
+    ``CategoryForest.sim_row``."""
+    if c1 == c2:
+        return 1.0
+    m = lca(forest, c1, c2)
+    if m == -1:
+        return 0.0
+    return 2.0 * forest.depth[m] / (forest.depth[c1] + forest.depth[c2])
+
+
 def adjacency(graph) -> list[list[tuple[int, float]]]:
     """``adj[u]`` = ``[(v, w), ...]``: the rows of ``graph.csr()`` as
     Python ints and floats, in CSR order."""

@@ -21,7 +21,7 @@ from repro.core.query import QueryContext
 from repro.graphs.categories import foursquare_lite_forest, generated_forest
 from repro.graphs.dijkstra import dijkstra, settle_to
 from repro.graphs.generator import graph_from_edges
-from tests.conftest import pois_of_tree, random_query
+from tests.conftest import matches, perfect_matches, pois_of_tree, random_query
 
 
 def brute_osr(graph, v_q, match_sets):
@@ -78,7 +78,7 @@ class TestOSREngines:
         g, f, rng = random_world_factory(seed, n_road=80, n_pois=50)
         v_q, cats = random_query(g, f, rng, 3)
         ctx = QueryContext(g, f, v_q, cats)
-        sets = [ctx.perfect(i) for i in range(ctx.k)]
+        sets = [perfect_matches(ctx, i) for i in range(ctx.k)]
         if any(len(s) == 0 for s in sets):
             pytest.skip("a position has no perfect match")
         want = brute_osr(g, v_q, sets)
@@ -92,7 +92,7 @@ class TestOSREngines:
         g, f, rng = random_world_factory(seed + 10, n_road=80, n_pois=50)
         v_q, cats = random_query(g, f, rng, 2)
         ctx = QueryContext(g, f, v_q, cats)
-        sets = [list(ctx.match_sims[i]) for i in range(ctx.k)]
+        sets = [matches(ctx, i) for i in range(ctx.k)]
         a = osr_dijkstra(g, v_q, sets)
         b = osr_pne(g, v_q, sets)
         assert (a is None) == (b is None)
@@ -108,7 +108,7 @@ class TestOSREngines:
         g, f, rng = random_world_factory(2)
         v_q, cats = random_query(g, f, rng, 3)
         ctx = QueryContext(g, f, v_q, cats)
-        sets = [list(ctx.match_sims[i]) for i in range(ctx.k)]
+        sets = [matches(ctx, i) for i in range(ctx.k)]
         hit = osr_dijkstra(g, v_q, sets)
         assert hit is not None
         _l, route = hit
@@ -119,7 +119,7 @@ class TestOSREngines:
         g, f, rng = random_world_factory(3)
         v_q, cats = random_query(g, f, rng, 2)
         ctx = QueryContext(g, f, v_q, cats)
-        sets = [list(ctx.match_sims[i]) for i in range(ctx.k)]
+        sets = [matches(ctx, i) for i in range(ctx.k)]
         sd, sp = {}, {}
         osr_dijkstra(g, v_q, sets, stats=sd)
         osr_pne(g, v_q, sets, stats=sp)

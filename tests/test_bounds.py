@@ -7,7 +7,13 @@ import pytest
 from repro.core.bounds import MinDistBounds
 from repro.core.query import QueryContext
 from repro.graphs.dijkstra import dijkstra
-from tests.conftest import floyd_warshall_reference, multi_source_to_targets, random_query
+from tests.conftest import (
+    floyd_warshall_reference,
+    matches,
+    multi_source_to_targets,
+    perfect_matches,
+    random_query,
+)
 
 INF = float("inf")
 
@@ -28,7 +34,7 @@ class TestLegMinima:
         ctx = QueryContext(g, f, v_q, cats)
         b = MinDistBounds.compute(ctx)
         for i in range(ctx.k - 1):
-            want = _brute_leg_min(g, list(ctx.match_sims[i]), list(ctx.match_sims[i + 1]))
+            want = _brute_leg_min(g, matches(ctx, i), matches(ctx, i + 1))
             assert b.ls_leg[i] == pytest.approx(want)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -38,7 +44,7 @@ class TestLegMinima:
         ctx = QueryContext(g, f, v_q, cats)
         b = MinDistBounds.compute(ctx)
         for i in range(ctx.k - 1):
-            want = _brute_leg_min(g, list(ctx.match_sims[i]), ctx.perfect(i + 1))
+            want = _brute_leg_min(g, matches(ctx, i), perfect_matches(ctx, i + 1))
             assert b.lp_leg[i] == pytest.approx(want)
 
     def test_lp_geq_ls(self, random_world_factory):
@@ -95,9 +101,9 @@ class TestOnePassLegs:
             in_range = d0 < threshold0
             b = MinDistBounds.compute(ctx, threshold0)
             for i in range(ctx.k - 1):
-                srcs = [p for p in ctx.match_sims[i] if in_range[p]]
-                ls = multi_source_to_targets(g, srcs, [p for p in ctx.match_sims[i + 1] if in_range[p]])
-                lp = multi_source_to_targets(g, srcs, [p for p in ctx.perfect(i + 1) if in_range[p]])
+                srcs = [p for p in matches(ctx, i) if in_range[p]]
+                ls = multi_source_to_targets(g, srcs, [p for p in matches(ctx, i + 1) if in_range[p]])
+                lp = multi_source_to_targets(g, srcs, [p for p in perfect_matches(ctx, i + 1) if in_range[p]])
                 assert b.ls_leg[i] == (ls if np.isfinite(ls) else 0.0)
                 assert b.lp_leg[i] == (lp if np.isfinite(lp) else 0.0)
 
@@ -116,7 +122,7 @@ class TestThresholdRestriction:
         radius = float(np.median(d0[np.isfinite(d0)]))
         in_range = d0 < radius
         if any(
-            not in_range[list(ctx.match_sims[i])].any() or not in_range[list(ctx.match_sims[i + 1])].any()
+            not in_range[matches(ctx, i)].any() or not in_range[matches(ctx, i + 1)].any()
             for i in range(ctx.k - 1)
         ):
             pytest.skip("radius empties a PoI set; the bound degrades to 0 by design")

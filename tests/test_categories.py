@@ -13,6 +13,7 @@ from repro.graphs.categories import (
     foursquare_lite_forest,
     generated_forest,
 )
+from tests.conftest import lca, wu_palmer
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +133,26 @@ class TestSimilarity:
         assert fsq.max_nonperfect_sim(leaf) == pytest.approx(0.8)
 
     def test_lca_cross_tree(self, fsq):
-        assert fsq.lca(0, fsq.leaves_of_tree(1)[0]) == -1
+        assert lca(fsq, 0, fsq.leaves_of_tree(1)[0]) == -1
+
+    @pytest.mark.parametrize(
+        "forest",
+        [
+            foursquare_lite_forest(),
+            generated_forest(49),
+            depth2_forest(3, 4),
+            build_forest([("solo", [])]),
+        ],
+        ids=["foursquare-lite", "generated-49", "depth2", "one-category"],
+    )
+    def test_sim_row_is_wu_palmer_on_every_pair(self, forest):
+        """The vectorised row equals the LCA walk exactly, on every pair,
+        and footnote 2's delta is its largest entry below 1: 0.0, not an
+        error, for a category alone in its tree."""
+        for c in range(forest.n_categories):
+            want = [wu_palmer(forest, c2, c) for c2 in range(forest.n_categories)]
+            assert forest.sim_row(c).tolist() == want
+            assert forest.max_nonperfect_sim(c) == max(want[:c] + want[c + 1 :], default=0.0)
 
     @given(st.integers(2, 5), st.integers(2, 4), st.data())
     @settings(max_examples=25, deadline=None)

@@ -16,12 +16,12 @@ from repro.core.dominance import SkylineSet, dominates
 from repro.core.query import QueryContext
 from repro.core.scores import route_scores
 from repro.graphs.dijkstra import dijkstra
-from tests.conftest import multi_source_to_targets, random_query
+from tests.conftest import matches, multi_source_to_targets, perfect_matches, random_query
 
 
 def _sequenced_routes(ctx, max_total=400):
     """Enumerate some sequenced routes (prefix-closed) for lemma checks."""
-    match = [list(ctx.match_sims[i])[:6] for i in range(ctx.k)]
+    match = [matches(ctx, i)[:6] for i in range(ctx.k)]
     out = []
     for combo in itertools.islice(
         (c for c in itertools.product(*match) if len(set(c)) == len(c)), max_total
@@ -81,7 +81,7 @@ class TestLemma58PerfectMatchBound:
         v_q, cats = random_query(g, f, rng, 3)
         ctx = QueryContext(g, f, v_q, cats)
         b = MinDistBounds.compute(ctx)
-        perfect = [ctx.perfect(i)[:5] for i in range(ctx.k)]
+        perfect = [perfect_matches(ctx, i)[:5] for i in range(ctx.k)]
         if any(not p for p in perfect):
             pytest.skip("no perfect matches at some position")
         rows = {p: dijkstra(g, p) for ps in perfect for p in ps}

@@ -9,8 +9,8 @@ from repro.baselines.naive import naive_skysr
 from repro.core.bssr import bssr
 from repro.core.query import QueryContext
 from repro.graphs.categories import foursquare_lite_forest
-from repro.graphs.generator import road_network
-from tests.conftest import pois_of_tree, random_query
+from repro.graphs.generator import graph_from_edges, road_network
+from tests.conftest import matches, perfect_matches, pois_of_tree, random_query, wu_palmer
 
 
 @pytest.fixture(scope="module")
@@ -22,14 +22,32 @@ def world():
 
 class TestMatchTables:
     def test_sim_arr_matches_forest(self, world):
+        """Every vertex's entry is exactly its best category's Wu–Palmer
+        similarity, over its primary and §6 extra categories.  The second
+        world has a PoI with extra categories, a road vertex with extra
+        categories only, and an empty extra list."""
         g, f = world
         rng = np.random.default_rng(0)
         v_q, cats = random_query(g, f, rng, 3)
-        ctx = QueryContext(g, f, v_q, cats)
-        for i, c in enumerate(cats):
-            for p in g.poi_ids:
-                want = f.sim(int(g.cat_of[p]), c)
-                assert ctx.sim_at(i, int(p)) == pytest.approx(want)
+        leaf = f.leaves_of_tree(0)[0]
+        sibling = next(c for c in f.children(f.parent[leaf]) if c != leaf)
+        other = f.leaves_of_tree(1)[0]
+        g6 = graph_from_edges(
+            5,
+            [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)],
+            {2: other, 3: sibling, 4: leaf},
+            n_road=2,
+            extra_cats={2: [sibling], 0: [f.parent[leaf], other], 3: []},
+        )
+        ctx6 = QueryContext(g6, f, 1, [leaf, other])
+        for ctx in (QueryContext(g, f, v_q, cats), ctx6):
+            for i, c in enumerate(ctx.seq_cats):
+                for v in range(ctx.graph.n_vertices):
+                    cats_v = [int(ctx.graph.cat_of[v])] if ctx.graph.cat_of[v] >= 0 else []
+                    cats_v += ctx.graph.extra_cats.get(v, [])
+                    assert ctx.sim_at(i, v) == max((wu_palmer(f, c2, c) for c2 in cats_v), default=0.0)
+        assert ctx6.sim[:, 0].tolist() == [0.8, 1.0]  # a road vertex, matching through extras only
+        assert ctx6.sim[:, 2].tolist() == [2 / 3, 1.0]
 
     def test_road_vertices_never_match(self, world):
         g, f = world
@@ -37,7 +55,7 @@ class TestMatchTables:
         v_q, cats = random_query(g, f, rng, 2)
         ctx = QueryContext(g, f, v_q, cats)
         for i in range(ctx.k):
-            assert all(v >= g.n_road for v in ctx.match_sims[i])
+            assert all(v >= g.n_road for v in matches(ctx, i))
 
     def test_perfect_subset_of_tree(self, world):
         g, f = world
@@ -45,8 +63,8 @@ class TestMatchTables:
         v_q, cats = random_query(g, f, rng, 3)
         ctx = QueryContext(g, f, v_q, cats)
         for i in range(ctx.k):
-            assert set(ctx.perfect(i)) <= set(ctx.match_sims[i])
-            for p in ctx.perfect(i):
+            assert set(perfect_matches(ctx, i)) <= set(matches(ctx, i))
+            for p in perfect_matches(ctx, i):
                 assert ctx.sim_at(i, p) == 1.0
 
     def test_tree_pois_is_whole_tree(self, world):
@@ -56,7 +74,7 @@ class TestMatchTables:
         ctx = QueryContext(g, f, v_q, cats)
         for i, c in enumerate(cats):
             want = set(int(p) for p in pois_of_tree(g, f, f.tree_id[c]))
-            assert set(ctx.match_sims[i]) == want
+            assert set(matches(ctx, i)) == want
 
 
 class TestGates:
@@ -100,7 +118,7 @@ class TestNonperfectBounds:
         v_q, cats = random_query(g, f, rng, 3)
         ctx = QueryContext(g, f, v_q, cats)
         for i in range(ctx.k):
-            sims = np.array(list(ctx.match_sims[i].values()))
+            sims = ctx.sim[i][ctx.sim[i] > 0]
             nonperf = sims[sims < 1.0]
             if len(nonperf):
                 assert nonperf.max() <= ctx.max_nonperfect[i] + 1e-12

@@ -17,7 +17,7 @@ from repro.core.skysr_spark import (
 from repro.core.scores import is_sequenced_route, route_scores
 from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs.generator import graph_from_edges
-from tests.conftest import random_query
+from tests.conftest import matches, random_query
 
 
 class TestPipelineExactness:
@@ -118,17 +118,17 @@ class TestRelationalPieces:
         ctx = QueryContext(g, f, v_q, cats)
 
         dist_rows = []
-        for s in {v_q} | set(ctx.match_sims[0]):
+        for s in {v_q} | set(matches(ctx, 0)):
             d = dijkstra(g, s)
-            for t in list(ctx.match_sims[0]) + list(ctx.match_sims[1]):
+            for t in matches(ctx, 0) + matches(ctx, 1):
                 if np.isfinite(d[t]):
                     dist_rows.append((s, int(t), float(d[t])))
         dists = pd.DataFrame(dist_rows, columns=["src", "dst", "d"]).drop_duplicates()
         m1 = pd.DataFrame(
-            {"poi": list(ctx.match_sims[0]), "sim": [ctx.sim_at(0, p) for p in ctx.match_sims[0]]}
+            {"poi": matches(ctx, 0), "sim": [ctx.sim_at(0, p) for p in matches(ctx, 0)]}
         )
         m2 = pd.DataFrame(
-            {"poi": list(ctx.match_sims[1]), "sim": [ctx.sim_at(1, p) for p in ctx.match_sims[1]]}
+            {"poi": matches(ctx, 1), "sim": [ctx.sim_at(1, p) for p in matches(ctx, 1)]}
         )
 
         sdf = (

@@ -15,7 +15,7 @@ from repro.core.query import QueryContext
 from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs.dijkstra import dijkstra
 from repro.graphs.generator import graph_from_edges, road_network
-from tests.conftest import floyd_warshall_reference
+from tests.conftest import floyd_warshall_reference, matches, perfect_matches
 
 
 def _directed_world(seed: int):
@@ -108,7 +108,7 @@ class TestMultiCategoryPoIs:
         ctx = QueryContext(g, f, 0, [food[0]])
         assert ctx.sim_at(0, 3) == 1.0  # via extra category
         assert ctx.sim_at(0, 4) == 1.0
-        assert 3 in ctx.perfect(0)
+        assert 3 in perfect_matches(ctx, 0)
 
     def test_bssr_matches_brute_with_extra_cats(self, world):
         g, f, food, shop = world
@@ -122,7 +122,7 @@ class TestMultiCategoryPoIs:
         switch Lemma 5.5/caching off (DESIGN.md §deviations-3)."""
         g, f, food, shop = world
         ctx = QueryContext(g, f, 0, [food[0], shop[1]])
-        assert 3 in ctx.match_sims[0] and 3 in ctx.match_sims[1]
+        assert 3 in matches(ctx, 0) and 3 in matches(ctx, 1)
         assert not ctx.trees_distinct
 
     def test_distinct_gate_for_plain_queries(self, world):
