@@ -36,12 +36,7 @@ def super_category_sequences(forest: CategoryForest, seq_cats: Sequence[int]) ->
 def subtree_match_set(graph: Graph, forest: CategoryForest, anc: int) -> np.ndarray:
     """PoIs associated with ``anc`` — i.e. with a category, primary or §6
     extra, that has ``anc`` as an ancestor (including itself)."""
-    ok = np.zeros(forest.n_categories, dtype=bool)
-    stack = [anc]
-    while stack:
-        c = stack.pop()
-        ok[c] = True
-        stack.extend(forest.children(c))
+    ok = forest.in_subtree(anc)
     hit = (graph.cat_of >= 0) & ok[graph.cat_of]
     for p, cats in graph.extra_cats.items():
         hit[p] |= bool(ok[cats].any())

@@ -14,9 +14,15 @@ Algorithm 4 restricts the PoI sets to those within ``l̄(φ)`` of the start
 point (the threshold for a semantic-score-0 route, known after NNinit) —
 PoIs farther than that can never appear in any surviving route.
 
+The range ball is one :func:`~repro.graphs.dijkstra.settle_below` search,
+whose settled vertices mark the PoIs in range; the leg searches are
+:func:`~repro.graphs.dijkstra.settle_to` searches.  Both run in the graph's
+search workspace, so they allocate only their results.
+
 Suffix sums turn the per-leg minima into the Lemma 5.8 lower bounds:
 a partial route of size ``m`` still has legs ``m→m+1, …, k-1→k`` ahead of
-it, so its length grows by at least ``sum_{i=m}^{k-1} l_s[i]``.
+it, so its length grows by at least ``sum_{i=m}^{k-1} l_s[i]``.  BSSR reads
+the suffix lists by route size.
 """
 from __future__ import annotations
 
@@ -77,7 +83,8 @@ def _pois_in_range(ctx: QueryContext, threshold0: float) -> tuple[np.ndarray, np
     The range ball is released on return, before the leg searches run."""
     tree, perfect = ctx.sim > 0, ctx.sim == 1.0
     if np.isfinite(threshold0):
-        near = settle_below(ctx.graph, ctx.v_q, threshold0).dist < threshold0
+        near = np.zeros(ctx.graph.n_vertices, dtype=bool)
+        near[settle_below(ctx.graph, ctx.v_q, threshold0).order] = True
         tree &= near
         perfect &= near
     return tree, perfect

@@ -24,6 +24,14 @@ Exactness notes (Theorem 3 is preserved under every flag combination):
   line-8 break with the fetched route's threshold is conservative for every
   candidate's own (tighter) threshold check at line 10.
 
+The loop keeps Python thin around the compiled kernel: a route is a plain
+tuple (PoIs, length, similarity product) and travels through the queue
+inside its heap entry; a cached scan is its list of kernel records and its
+radius, read up to the first record at or above the budget; the Lemma 5.8
+bounds and footnote 2's delta are per-size lists read by index; and the
+Eq. 3 thresholds of one expansion's candidates are looked up once per
+distinct similarity.
+
 The module is fully instrumented (:class:`BSSRStats`) because Tables 7/8 and
 Figures 4/5 of the evaluation report internal counters, not just times.
 """
@@ -34,13 +42,14 @@ import time
 from dataclasses import dataclass
 
 from repro.core.bounds import MinDistBounds
-from repro.core.dominance import SkylineSet, score_key
+from repro.core.dominance import _EPS, SkylineSet, score_key
 from repro.core.nninit import nninit, nninit_ratio
 from repro.core.query import QueryContext
-from repro.core.scores import PartialRoute
 from repro.graphs.categories import CategoryForest
 from repro.graphs.dijkstra import settle_below
 from repro.graphs.generator import Graph
+
+INF = float("inf")
 
 
 @dataclass
@@ -70,12 +79,6 @@ class BSSRStats:
     nninit_ratio: float = 1.0
     total_time_ms: float = 0.0
     n_results: int = 0
-
-
-@dataclass
-class _CacheEntry:
-    candidates: list[tuple[float, int, float]]  # (dist, poi, sim) sorted by dist
-    radius: float  # complete for all candidates with dist < radius
 
 
 @dataclass
@@ -118,11 +121,18 @@ def bssr_first_scan(
     """
     run = _BSSRRun(graph, forest, v_q, list(seq_cats), BSSROptions(use_nninit=use_nninit), None)
     run._seed()
-    run._expand(PartialRoute((), 0.0, 1.0))
+    run._expand((), 0.0, 1.0, run.S.threshold(0.0))
     return run.stats
 
 
 class _BSSRRun:
+    """One query's branch and bound.  A route is its PoIs so far, its
+    length and its similarity product; in the queue it is the tuple
+    ``(key..., seq, pois, length, prod)``, where the key is
+    ``(-size, 1 - prod, length)`` (proposed) or ``(length,)`` (distance)
+    and ``seq`` is ``stats.queue_pushes`` at the push, which breaks ties
+    first-in first-out."""
+
     def __init__(
         self,
         graph: Graph,
@@ -132,111 +142,135 @@ class _BSSRRun:
         options: BSSROptions,
         destination: int | None,
     ) -> None:
-        self.ctx = QueryContext(graph, forest, v_q, seq_cats, destination)
+        self.ctx = ctx = QueryContext(graph, forest, v_q, seq_cats, destination)
         self.opt = options
+        self.k = ctx.k
+        self.use_min_dist = options.use_min_dist
         self.stats = BSSRStats()
         # Lemma 5.5 / caching are only route-independent when the query's
         # match sets are pairwise disjoint (DESIGN.md §deviations-3).
-        self.cache_on = options.use_cache and self.ctx.trees_distinct
+        self.cache_on = options.use_cache and ctx.trees_distinct
         # The kernel's marks are the rows of ``ctx.sim``.  Lemma 5.5-ii: the
         # modified Dijkstra never passes a perfect match, so ``through`` is
-        # false exactly there.
-        self.through = self.ctx.sim != 1.0 if self.ctx.trees_distinct else None
-        self.cache: dict[tuple[int, int], _CacheEntry] = {}
+        # false exactly there; given ``through``, the kernel applies Lemma
+        # 5.5-i too and records only the matches it may return.
+        self.marks = list(ctx.sim)
+        self.through = list(ctx.sim != 1.0) if ctx.trees_distinct else [None] * ctx.k
+        # (p_d, pos) -> (candidates, radius): the (dist, poi, passed, sim)
+        # records of one scan, in settle order, complete below ``radius``.
+        self.cache: dict[tuple[int, int], tuple[list[tuple[float, int, float, float]], float]] = {}
         self.S = SkylineSet()
-        self.bounds = MinDistBounds.zeros(self.ctx.k)
-        self.heap: list[tuple[tuple, int, PartialRoute]] = []
-        self._push_seq = 0
+        # Per route size m: the Lemma 5.8 length bounds l_s and l_p of the
+        # legs still ahead (0 without them), and footnote 2's delta.
+        self.ls = self.lp = [0.0] * (ctx.k + 1)
+        self.delta = ctx.nonperfect_suffix
+        self.heap: list[tuple] = []
 
-    # ------------------------------------------------------------ plumbing
-    def _key(self, r: PartialRoute) -> tuple:
-        if self.opt.pq_mode == "proposed":
-            return (-r.size, r.min_semantic, r.length)
-        return (r.length,)
-
-    def _push(self, r: PartialRoute) -> None:
-        self._push_seq += 1
-        self.stats.queue_pushes += 1
-        heapq.heappush(self.heap, (self._key(r), self._push_seq, r))
-
-    def _remaining_ls(self, size: int) -> float:
-        return self.bounds.remaining_ls(size) if self.opt.use_min_dist else 0.0
-
-    def _prunable(self, size: int, length: float, prod: float) -> bool:
-        """Lemma 5.3 (+ l_s tightening) and Lemma 5.8 pruning for a partial
-        or complete candidate state."""
-        s_min = 1.0 - prod
-        if length + self._remaining_ls(size) >= self.S.threshold(s_min):
+    # ------------------------------------------------------------ pruning
+    def _prunable(self, size: int, length: float, prod: float, t_min: float) -> bool:
+        """Lemma 5.3 (+ l_s tightening) and Lemma 5.8 pruning for a popped
+        route whose Eq. 3 threshold is ``t_min``; ``_expand`` applies the
+        same two tests to each candidate."""
+        if length + self.ls[size] >= t_min:
             return True
-        if self.opt.use_min_dist and size < self.ctx.k:
-            # Lemma 5.8: (a) every non-perfect completion is dominated ...
-            m = self.ctx.max_nonperfect_suffix(size)
-            s_nonperf = 1.0 - prod * m
-            if self.S.threshold(s_nonperf) <= length:
-                # ... and (b) the forced perfect completion is dominated too.
-                if self.S.threshold(s_min) <= length + self.bounds.remaining_lp(size):
-                    return True
-        return False
+        # Lemma 5.8: (a) every non-perfect completion is dominated, and (b)
+        # the forced perfect completion is dominated too.
+        return (
+            self.use_min_dist
+            and size < self.k
+            and self.S.threshold(1.0 - prod * self.delta[size]) <= length
+            and t_min <= length + self.lp[size]
+        )
 
     # ------------------------------------------------------------ mDijkstra
-    def _scan(self, p_d: int, pos: int, budget: float) -> _CacheEntry:
-        """One modified-Dijkstra execution (Algorithm 2), complete for all
-        matching PoIs with ``dist < budget`` from ``p_d``."""
-        sim = self.ctx.sim[pos]
-        through = None if self.through is None else self.through[pos]
-        ball = settle_below(self.ctx.graph, p_d, budget, through=through, mark=sim)
-        self.stats.visited_vertices += len(ball.order)
-        # passed: best similarity on u's shortest path before u (Lemma 5.5-i).
-        # The matches come in settle order, the order Algorithm 2 meets them.
-        sims = sim[ball.marked["vertex"]].tolist()
-        cands = [
-            (d, u, s) for (d, u, before), s in zip(ball.marked.tolist(), sims) if through is None or s > before
-        ]
-        if self.stats.mdijkstra_runs == 0:
-            self.stats.first_weight_sum = ball.weight_sum
-            self.stats.first_radius = float(ball.dist[ball.order[-1]]) if len(ball.order) else 0.0
-        self.stats.mdijkstra_runs += 1
-        return _CacheEntry(cands, ball.radius)
-
-    def _candidates(self, p_d: int, pos: int, budget: float) -> list[tuple[float, int, float]]:
-        """Fetch matching PoIs below ``budget``, via the on-the-fly cache
-        (§5.3.4) when it already holds a deep-enough scan from ``p_d``."""
-        self.stats.mdijkstra_requests += 1
-        if not self.cache_on:
-            return self._scan(p_d, pos, budget).candidates
-        key = (p_d, pos)
-        entry = self.cache.get(key)
-        if entry is not None and entry.radius >= budget:
-            self.stats.cache_hits += 1
-        else:
-            entry = self._scan(p_d, pos, budget)
-            self.cache[key] = entry
-        return [c for c in entry.candidates if c[0] < budget]
+    def _scan(self, p_d: int, pos: int, budget: float) -> tuple[list, float]:
+        """One modified-Dijkstra execution (Algorithm 2): the matching PoIs
+        with ``dist < budget`` from ``p_d`` that Lemma 5.5 lets through, in
+        settle order, the order Algorithm 2 meets them."""
+        ball = settle_below(self.ctx.graph, p_d, budget, through=self.through[pos], mark=self.marks[pos])
+        stats = self.stats
+        stats.visited_vertices += len(ball.order)
+        if stats.mdijkstra_runs == 0:
+            stats.first_weight_sum = ball.weight_sum
+            stats.first_radius = float(ball.dist[-1]) if len(ball.dist) else 0.0
+        stats.mdijkstra_runs += 1
+        return ball.marked, ball.radius
 
     # ------------------------------------------------------------ expansion
-    def _expand(self, r: PartialRoute) -> None:
-        pos = r.size  # next category position to match (0-indexed)
-        p_d = r.end if r.size > 0 else self.ctx.v_q
-        thresh = self.S.threshold(r.min_semantic)
-        budget = thresh - r.length - self._remaining_ls(pos + 1)
+    def _expand(self, pois: tuple[int, ...], length: float, prod: float, t_min: float) -> None:
+        """Algorithm 1's expansion of one route, whose Eq. 3 threshold is
+        ``t_min``."""
+        pos = len(pois)  # next category position to match (0-indexed)
+        p_d = pois[-1] if pos else self.ctx.v_q
+        S = self.S
+        budget = t_min - length - self.ls[pos + 1]
         if budget <= 0.0:
             return
-        k = self.ctx.k
-        route_set = set(r.pois)
-        for d, u, sim_u in self._candidates(p_d, pos, budget):
-            if u in route_set:
-                continue  # Def. 3.4-iii (only reachable when trees repeat)
-            new_len = r.length + d
-            new_prod = r.sim_product * sim_u
-            size_t = pos + 1
-            if size_t == k:
-                dest_dist = self.ctx.dest_dist
-                final_len = new_len + (float(dest_dist[u]) if dest_dist is not None else 0.0)
-                self.S.update(final_len, 1.0 - new_prod, r.pois + (u,))
+        # Fetch matching PoIs below ``budget``, via the on-the-fly cache
+        # (§5.3.4) when it already holds a deep-enough scan from ``p_d``.
+        # The records are in settle order, so the ones below ``budget`` are
+        # a prefix.
+        stats = self.stats
+        stats.mdijkstra_requests += 1
+        if self.cache_on:
+            key = (p_d, pos)
+            entry = self.cache.get(key)
+            if entry is not None and entry[1] >= budget:
+                stats.cache_hits += 1
             else:
-                if self._prunable(size_t, new_len, new_prod):
+                entry = self.cache[key] = self._scan(p_d, pos, budget)
+        else:
+            entry = self._scan(p_d, pos, budget)
+        size = pos + 1
+        # The Eq. 3 thresholds of the candidates depend only on their sim
+        # while S stays as it is, so they are looked up once per sim.
+        if size == self.k:
+            # A completed route joins S unless its threshold shows it
+            # dominated or equivalent, the test S.update starts with; the
+            # thresholds are looked up afresh once S has changed.
+            dest_dist = self.ctx.dest_dist
+            completed: dict[float, float] = {}
+            for d, u, _passed, sim_u in entry[0]:
+                if d >= budget:
+                    break
+                if u in pois:
+                    continue  # Def. 3.4-iii (only reachable when trees repeat)
+                new_len = length + d
+                final_len = new_len + (float(dest_dist[u]) if dest_dist is not None else 0.0)
+                s = 1.0 - prod * sim_u
+                t = completed.get(sim_u)
+                if t is None:
+                    t = completed[sim_u] = S.threshold(s)
+                if t <= final_len + _EPS:
                     continue
-                self._push(r.extend(u, d, sim_u))
+                if S.update(final_len, s, pois + (u,)):
+                    completed.clear()
+            return
+        # ``_prunable``'s tests for each candidate.
+        thresholds: dict[float, tuple[float, float]] = {}
+        ls, lp, delta = self.ls[size], self.lp[size], self.delta[size]
+        use_min_dist, proposed, heap = self.use_min_dist, self.opt.pq_mode == "proposed", self.heap
+        for d, u, _passed, sim_u in entry[0]:
+            if d >= budget:
+                break
+            if u in pois:
+                continue
+            new_len = length + d
+            new_prod = prod * sim_u
+            t = thresholds.get(sim_u)
+            if t is None:
+                t = thresholds[sim_u] = (
+                    S.threshold(1.0 - new_prod),
+                    S.threshold(1.0 - new_prod * delta) if use_min_dist else INF,
+                )
+            t_min, t_nonperfect = t
+            if new_len + ls >= t_min:
+                continue  # Lemma 5.3
+            if use_min_dist and t_nonperfect <= new_len and t_min <= new_len + lp:
+                continue  # Lemma 5.8
+            stats.queue_pushes += 1
+            route = (stats.queue_pushes, pois + (u,), new_len, new_prod)
+            heapq.heappush(heap, (-size, 1.0 - new_prod, new_len, *route) if proposed else (new_len, *route))
 
     # ------------------------------------------------------------ main loop
     def _seed(self) -> None:
@@ -249,18 +283,21 @@ class _BSSRRun:
             self.stats.nninit_routes = len(self.S)
             self.stats.nninit_ratio = nninit_ratio(self.S)
         if self.opt.use_min_dist:
-            self.bounds = MinDistBounds.compute(self.ctx, self.S.threshold(0.0))
+            bounds = MinDistBounds.compute(self.ctx, self.S.threshold(0.0))
+            self.ls, self.lp = bounds.ls_suffix, bounds.lp_suffix
 
     def run(self) -> BSSRResult:
         t0 = time.perf_counter()
         self._seed()
-        self._expand(PartialRoute((), 0.0, 1.0))
-        while self.heap:
-            _key, _seq, r = heapq.heappop(self.heap)
+        threshold = self.S.threshold
+        self._expand((), 0.0, 1.0, threshold(0.0))
+        heap, prunable, expand = self.heap, self._prunable, self._expand
+        while heap:
+            pois, length, prod = heapq.heappop(heap)[-3:]
             # Thresholds tightened since this route was pushed — recheck.
-            if self._prunable(r.size, r.length, r.sim_product):
-                continue
-            self._expand(r)
+            t_min = threshold(1.0 - prod)
+            if not prunable(len(pois), length, prod, t_min):
+                expand(pois, length, prod, t_min)
         self.stats.total_time_ms = (time.perf_counter() - t0) * 1e3
         self.stats.n_results = len(self.S)
         return BSSRResult(self.S.routes(), self.stats)

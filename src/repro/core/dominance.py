@@ -63,7 +63,6 @@ class SkylineSet:
     """
 
     entries: list[tuple[float, float, Any]] = field(default_factory=list)  # (s, l, payload)
-    updates: int = 0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -79,7 +78,6 @@ class SkylineSet:
         and is never inserted."""
         if l == INF:
             return False
-        self.updates += 1
         i = bisect.bisect_right(self.entries, (s + _EPS, INF, None))
         # Frontier lengths decrease with s, so the tightest competitor with
         # s' <= s is the one just before the insertion point.

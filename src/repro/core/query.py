@@ -55,7 +55,8 @@ class QueryContext:
     destination: int | None = None
 
     sim: np.ndarray = field(init=False)  # (k, n_vertices): each vertex's sim to S_q[i], 0 = no match
-    max_nonperfect: list[float] = field(init=False)
+    max_nonperfect: list[float] = field(init=False)  # footnote 2's delta per position
+    nonperfect_suffix: list[float] = field(init=False)  # [pos]: max of max_nonperfect[pos:], 0 at k
     trees_distinct: bool = field(init=False)
     dest_dist: np.ndarray | None = field(init=False)  # per vertex: distance to the destination
 
@@ -80,7 +81,10 @@ class QueryContext:
         # category (the paper allows highest-or-average; we use highest).
         for p, cats in g.extra_cats.items():
             self.sim[:, p] = rows[:, [g.cat_of[p], *cats]].max(axis=1)
-        self.max_nonperfect = [forest.max_nonperfect_sim(c) for c in self.seq_cats]
+        self.max_nonperfect = [forest.max_nonperfect(row[:-1]) for row in rows]
+        self.nonperfect_suffix = [0.0] * (self.k + 1)
+        for i in range(self.k - 1, -1, -1):
+            self.nonperfect_suffix[i] = max(self.max_nonperfect[i], self.nonperfect_suffix[i + 1])
         # Gate for Lemma 5.5 / on-the-fly caching: those arguments need the
         # per-position match sets to be pairwise disjoint (then a route's
         # earlier PoIs can never matter to a later position's search), i.e.
@@ -109,5 +113,4 @@ class QueryContext:
         """Largest non-perfect similarity over positions ``pos..k-1`` — the
         best factor a completion can salvage if it cannot be all-perfect
         (the delta of Lemma 5.8, footnote 2, in product form)."""
-        vals = self.max_nonperfect[pos:]
-        return max(vals) if vals else 0.0
+        return self.nonperfect_suffix[pos]

@@ -9,13 +9,11 @@ A route ``R = <p_1 ... p_k>`` for query ``(v_q, S_q)`` has
   the product of Wu–Palmer similarities (Eq. 7), so a perfectly matching
   route scores 0 and anything semantically looser scores more.
 
-Partial routes carry the running similarity *product*; the possible minimum
-semantic score ``s_(R)`` of a partial route assumes every remaining position
-matches perfectly (factor 1), i.e. ``s_(R) = 1 - prod``.
+A partial route carries its running similarity *product*; its possible
+minimum semantic score ``s_(R)`` assumes every remaining position matches
+perfectly (factor 1), i.e. ``s_(R) = 1 - prod``.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.core.query import QueryContext
 from repro.graphs.categories import CategoryForest
@@ -26,36 +24,6 @@ from repro.graphs.generator import Graph
 def semantic_score(sim_product: float) -> float:
     """Eq. 7: s = 1 - prod of per-position similarities."""
     return 1.0 - sim_product
-
-
-@dataclass(frozen=True)
-class PartialRoute:
-    """A (possibly complete) route with its running scores.
-
-    ``pois`` holds the PoI vertices chosen so far; ``length`` the sum of
-    shortest-path legs from the start point; ``sim_product`` the product of
-    the per-position category similarities.
-    """
-
-    pois: tuple[int, ...]
-    length: float
-    sim_product: float
-
-    @property
-    def size(self) -> int:
-        return len(self.pois)
-
-    @property
-    def end(self) -> int:
-        return self.pois[-1]
-
-    @property
-    def min_semantic(self) -> float:
-        """``s_(R)`` — semantic score if all remaining matches are perfect."""
-        return semantic_score(self.sim_product)
-
-    def extend(self, poi: int, leg: float, sim: float) -> "PartialRoute":
-        return PartialRoute(self.pois + (poi,), self.length + leg, self.sim_product * sim)
 
 
 def route_scores(

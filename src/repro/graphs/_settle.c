@@ -8,9 +8,13 @@
  * parent.  Pops come in (dist, vertex) order among the pairs pushed so
  * far, which is the settle order that repro.graphs.dijkstra documents.
  *
- * Every buffer is the caller's; nothing here allocates.  The pair and
- * triple structs are the caller's numpy record layouts.  Compiled without
- * -ffast-math or FMA contraction, every double is the one Python computes.
+ * Both entry points work in one graph's workspace, whose buffers the
+ * caller allocated once; nothing here allocates.  `dist` is all inf
+ * between calls: a search lists every vertex whose dist it lowers from inf
+ * in `touched` and resets only those on exit, so a call costs what it
+ * visits, not O(n).  The record struct is the caller's numpy record
+ * layout.  Compiled without -ffast-math or FMA contraction, every
+ * double is the one Python computes.
  */
 #include <math.h>
 #include <stdint.h>
@@ -24,7 +28,25 @@ typedef struct {
     double d;
     int64_t v;
     double passed;
+    double mark;
 } marked_t;
+
+typedef struct {
+    int64_t n;
+    const int64_t *indptr;
+    const int64_t *indices;
+    const double *weights;
+    double *dist;        /* n, all inf between calls */
+    double *carry;       /* n, per reached vertex: the largest mark before it */
+    int64_t *touched;    /* n */
+    pair *heap;          /* n + indptr[n] */
+    double *out_dist;    /* n */
+    int64_t *out_vertex; /* n */
+    marked_t *marked;    /* n */
+    int64_t n_marked;
+    double radius;
+    double weight_sum;
+} workspace;
 
 /* (dist, vertex) order; without && and || it compiles free of branches */
 static inline int before(pair a, pair b)
@@ -68,50 +90,52 @@ static inline pair pop(pair *heap, int64_t *size)
 
 /* Settle every vertex closer to `source` than `budget`.
  *
- * Writes the settled vertices to `order` in settle order and returns their
- * count.  `dist` ends with each settled vertex's distance (below `budget`)
- * and each other reached vertex's tentative one (not below it); `*radius`
- * is the first popped distance not below `budget` (inf when the search ran
- * out).  A vertex whose `through` byte is 0 settles but relaxes nothing.
- * When `mark` is given, each settled vertex with mark > 0 goes to `marked`
- * in settle order, with its distance and the largest mark strictly before
- * it on its path from the source (0 if none); `*n_marked` counts them.
- * `*weight_sum` is the sum of the weights the search relaxes, added one by
- * one in settle order and CSR row order.
- * `work` holds n doubles, then room for 1 + indptr[n] heap pairs. */
-int64_t settle_below(int64_t n, const int64_t *indptr, const int64_t *indices,
-                     const double *weights, int64_t source, double budget,
-                     const uint8_t *through, const double *mark, double *dist,
-                     int64_t *order, void *work, void *marked_buf,
-                     int64_t *n_marked, double *radius, double *weight_sum)
+ * Writes the settled vertices and their distances to `out_vertex` and
+ * `out_dist` in settle order and returns their count.  No pair at or above
+ * `budget` enters the heap, so `radius` is taken from the reached vertices
+ * on exit: the smallest tentative distance not below `budget` (inf when the
+ * search ran out), which is the pop a search pushing every pair would stop
+ * at.  A vertex whose `through` byte is 0 settles but relaxes nothing.
+ *
+ * When `mark` is given, a settled vertex with mark > 0 goes to `marked` in
+ * settle order as (dist, vertex, passed, mark), where `passed` is the
+ * largest mark strictly before it on its path from the source (0 if none);
+ * with `through` given too, only when its mark exceeds `passed` (Lemma
+ * 5.5-i).  `weight_sum` is the sum of the weights the search relaxes,
+ * added one by one in settle order and CSR row order. */
+int64_t settle_below(workspace *w, int64_t source, double budget,
+                     const uint8_t *through, const double *mark)
 {
-    double *carry = work; /* per vertex: the largest mark before it */
-    pair *heap = (pair *)(carry + n);
-    marked_t *marked = marked_buf;
-    int64_t size = 0, count = 0, nm = 0;
-    double ws = 0.0;
-    for (int64_t i = 0; i < n; i++)
-        dist[i] = INFINITY;
+    const int64_t *indptr = w->indptr, *indices = w->indices;
+    const double *weights = w->weights;
+    double *dist = w->dist, *carry = w->carry;
+    int64_t *touched = w->touched;
+    pair *heap = w->heap;
+    double *out_dist = w->out_dist;
+    int64_t *out_vertex = w->out_vertex;
+    marked_t *marked = w->marked;
+    int64_t size = 0, count = 0, nm = 0, nt = 0;
+    double ws = 0.0, radius = INFINITY;
     dist[source] = 0.0;
     carry[source] = 0.0;
-    push(heap, &size, 0.0, source);
-    *radius = INFINITY;
+    touched[nt++] = source;
+    if (0.0 < budget)
+        push(heap, &size, 0.0, source);
     while (size > 0) {
         pair top = pop(heap, &size);
         double d = top.d;
         int64_t u = top.v;
         if (d > dist[u])
             continue; /* superseded by a shorter pair already settled */
-        if (d >= budget) {
-            *radius = d;
-            break;
-        }
-        order[count++] = u;
+        out_dist[count] = d;
+        out_vertex[count++] = u;
         double pm = carry[u];
         if (mark && mark[u] > 0.0) {
-            marked[nm++] = (marked_t){d, u, pm};
-            if (mark[u] > pm)
-                pm = mark[u];
+            double m = mark[u];
+            if (!through || m > pm)
+                marked[nm++] = (marked_t){d, u, pm, m};
+            if (m > pm)
+                pm = m;
         }
         if (through && !through[u])
             continue;
@@ -120,40 +144,52 @@ int64_t settle_below(int64_t n, const int64_t *indptr, const int64_t *indices,
             double nd = d + weights[j];
             ws += weights[j];
             if (nd < dist[x]) {
+                if (dist[x] == INFINITY)
+                    touched[nt++] = x;
                 dist[x] = nd;
                 carry[x] = pm;
-                push(heap, &size, nd, x);
+                if (nd < budget)
+                    push(heap, &size, nd, x);
             }
         }
     }
-    *n_marked = nm;
-    *weight_sum = ws;
+    for (int64_t i = 0; i < nt; i++) {
+        int64_t x = touched[i];
+        if (dist[x] >= budget && dist[x] < radius)
+            radius = dist[x];
+        dist[x] = INFINITY;
+    }
+    w->n_marked = nm;
+    w->radius = radius;
+    w->weight_sum = ws;
     return count;
 }
 
 /* Settle from all `sources` at once (each at distance 0) and write the
- * vertices whose `target` byte is set, as (dist, vertex) pairs, to `out` in
- * settle order; returns how many.  The search stops after the `limit`-th
- * target, or after the first target whose `stop` byte is set.  `work`
- * holds n doubles, then room for n_sources + indptr[n] heap pairs.
+ * vertices whose `target` byte is set, and their distances, to `out_vertex`
+ * and `out_dist` in settle order; returns how many.  The search stops after
+ * the `limit`-th target, or after the first target whose `stop` byte is set.
  * Returns -1, having searched nothing, when a source is not a vertex. */
-int64_t settle_to(int64_t n, const int64_t *indptr, const int64_t *indices,
-                  const double *weights, const int64_t *sources,
-                  int64_t n_sources, const uint8_t *target, const uint8_t *stop,
-                  int64_t limit, void *work, void *out_buf)
+int64_t settle_to(workspace *w, const int64_t *sources, int64_t n_sources,
+                  const uint8_t *target, const uint8_t *stop, int64_t limit)
 {
-    double *dist = work;
-    pair *heap = (pair *)(dist + n), *out = out_buf;
-    int64_t size = 0, count = 0;
+    const int64_t *indptr = w->indptr, *indices = w->indices;
+    const double *weights = w->weights;
+    double *dist = w->dist;
+    int64_t *touched = w->touched;
+    pair *heap = w->heap;
+    double *out_dist = w->out_dist;
+    int64_t *out_vertex = w->out_vertex;
+    int64_t size = 0, count = 0, nt = 0;
     for (int64_t i = 0; i < n_sources; i++)
-        if (sources[i] < 0 || sources[i] >= n)
+        if (sources[i] < 0 || sources[i] >= w->n)
             return -1;
-    for (int64_t i = 0; i < n; i++)
-        dist[i] = INFINITY;
     for (int64_t i = 0; i < n_sources; i++) {
-        if (dist[sources[i]] > 0.0) {
-            dist[sources[i]] = 0.0;
-            push(heap, &size, 0.0, sources[i]);
+        int64_t s = sources[i];
+        if (dist[s] > 0.0) {
+            dist[s] = 0.0;
+            touched[nt++] = s;
+            push(heap, &size, 0.0, s);
         }
     }
     while (size > 0 && count < limit) {
@@ -163,7 +199,8 @@ int64_t settle_to(int64_t n, const int64_t *indptr, const int64_t *indices,
         if (d > dist[u])
             continue;
         if (target[u]) {
-            out[count++] = top;
+            out_dist[count] = d;
+            out_vertex[count++] = u;
             if (stop && stop[u])
                 break;
         }
@@ -171,10 +208,14 @@ int64_t settle_to(int64_t n, const int64_t *indptr, const int64_t *indices,
             int64_t x = indices[j];
             double nd = d + weights[j];
             if (nd < dist[x]) {
+                if (dist[x] == INFINITY)
+                    touched[nt++] = x;
                 dist[x] = nd;
                 push(heap, &size, nd, x);
             }
         }
     }
+    for (int64_t i = 0; i < nt; i++)
+        dist[touched[i]] = INFINITY;
     return count;
 }

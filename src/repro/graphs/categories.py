@@ -17,7 +17,7 @@ ancestors of ``c`` and any ancestor of ``c'`` are a subset of those of
 reduces to the LCA form implemented here.)  :meth:`CategoryForest.sim_row`
 computes it for every category against one, from an ancestor-at-depth
 table built with the forest; the scalar ``sim`` and footnote 2's delta read
-that row.
+that row, and :meth:`CategoryForest.in_subtree` reads the table itself.
 """
 from __future__ import annotations
 
@@ -111,14 +111,24 @@ class CategoryForest:
         return float(self.sim_row(c2)[c1])
 
     def max_nonperfect_sim(self, c: int) -> float:
-        """Largest ``sim(c', c) < 1`` over the forest, 0 if there is none.
+        """Largest ``sim(c', c) < 1`` over the forest, 0 if there is none:
+        :meth:`max_nonperfect` of ``c``'s :meth:`sim_row`."""
+        return self.max_nonperfect(self.sim_row(c))
+
+    @staticmethod
+    def max_nonperfect(row: np.ndarray) -> float:
+        """Largest entry below 1 of a :meth:`sim_row`, 0 if there is none.
 
         This is the paper's footnote-2 quantity behind the minimum semantic
         increment delta of Lemma 5.8: if a route cannot match position ``i``
         perfectly, the factor it contributes is at most this value.
         """
-        row = self.sim_row(c)
         return float(row[row < 1.0].max(initial=0.0))
+
+    def in_subtree(self, anc: int) -> np.ndarray:
+        """One bool per category: true when ``anc`` is the category or one
+        of its ancestors, read from the ancestor-at-depth table."""
+        return self._anc[self.depth[anc] - 1] == anc
 
 
 # ------------------------------------------------------------ constructors

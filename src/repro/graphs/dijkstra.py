@@ -8,9 +8,10 @@ program runs one compiled kernel that is exactly that search
 (``_settle.c``, over ``Graph.csr()``), through one of two entry points:
 
 * :func:`settle_below` — the whole ball below a distance budget, from one
-  source, with the Lemma 5.5 ``through`` rule and the stop value.  It
-  serves the budgeted searches: BSSR's modified Dijkstra, the Algorithm 4
-  range filter and the ``mapInPandas`` engine of ``repro.graphs.sssp_spark``.
+  source, with the Lemma 5.5 ``through`` and pass-through rules and the
+  stop value.  It serves the budgeted searches: BSSR's modified Dijkstra,
+  the Algorithm 4 range filter and the ``mapInPandas`` engine of
+  ``repro.graphs.sssp_spark``.
 * :func:`settle_to` — the target vertices only, in settle order, from any
   number of sources, up to a limit or a stop vertex.  It serves the
   searches that want the next *matching* PoIs: NNinit's per-position
@@ -21,11 +22,15 @@ program runs one compiled kernel that is exactly that search
 no budget, forwards or on ``Graph.reverse`` — serves brute force and the
 §6 destination leg.
 
-Each call allocates its own work buffers as numpy arrays, so searches are
-reentrant and ``tracemalloc`` sees their memory.  The kernel is a cffi
-extension module named after a hash of its source; the first import
-builds it with the system C compiler and publishes it next to this file,
-and later imports only load it.
+Each graph gets one search workspace on its first search: the CSR bound
+to the kernel, a distance array that is all-``inf`` between calls, the
+heap and the output buffers, as numpy arrays that ``tracemalloc`` sees.  A
+search then allocates nothing but its result and costs what it visits,
+not O(n).  The workspace is freed with its graph and is never pickled with
+it; a lock held around each kernel call keeps two threads out of one
+workspace.  The kernel is a cffi extension module named after a hash of
+its source; the first import builds it with the system C compiler and
+publishes it next to this file, and later imports only load it.
 """
 from __future__ import annotations
 
@@ -33,6 +38,7 @@ import hashlib
 import importlib
 import os
 import tempfile
+import threading
 from collections.abc import Container, Iterable, Sequence
 from pathlib import Path
 from typing import NamedTuple
@@ -45,15 +51,28 @@ INF = float("inf")
 
 _HERE = Path(__file__).resolve().parent
 _CDEF = """
-int64_t settle_below(int64_t n, const int64_t *indptr, const int64_t *indices,
-                     const double *weights, int64_t source, double budget,
-                     const uint8_t *through, const double *mark, double *dist,
-                     int64_t *order, void *work, void *marked_buf,
-                     int64_t *n_marked, double *radius, double *weight_sum);
-int64_t settle_to(int64_t n, const int64_t *indptr, const int64_t *indices,
-                  const double *weights, const int64_t *sources,
-                  int64_t n_sources, const uint8_t *target, const uint8_t *stop,
-                  int64_t limit, void *work, void *out_buf);
+typedef struct { double d; int64_t v; } pair;
+typedef struct { double d; int64_t v; double passed; double mark; } marked_t;
+typedef struct {
+    int64_t n;
+    const int64_t *indptr;
+    const int64_t *indices;
+    const double *weights;
+    double *dist;
+    double *carry;
+    int64_t *touched;
+    pair *heap;
+    double *out_dist;
+    int64_t *out_vertex;
+    marked_t *marked;
+    int64_t n_marked;
+    double radius;
+    double weight_sum;
+} workspace;
+int64_t settle_below(workspace *w, int64_t source, double budget,
+                     const uint8_t *through, const double *mark);
+int64_t settle_to(workspace *w, const int64_t *sources, int64_t n_sources,
+                  const uint8_t *target, const uint8_t *stop, int64_t limit);
 """
 # No -ffast-math or -march: every double must be the one Python computes.
 _CFLAGS = ["-O2", "-ffp-contract=off"]
@@ -98,9 +117,10 @@ def _load():
 _mod = _load()
 _ffi, _lib = _mod.ffi, _mod.lib
 _NULL = _ffi.NULL
-# The record layouts of the kernel's `pair` and `marked_t` structs.
+# The record layouts of the kernel's `pair` (its heap entries) and
+# `marked_t` structs.
 _PAIR = np.dtype([("dist", np.float64), ("vertex", np.int64)])
-_MARKED = np.dtype([("dist", np.float64), ("vertex", np.int64), ("passed", np.float64)])
+_MARKED = np.dtype([("dist", np.float64), ("vertex", np.int64), ("passed", np.float64), ("mark", np.float64)])
 _BYTES = frozenset("?Bbc")  # buffer formats of one byte per entry: bool, uint8, int8, bytes
 
 
@@ -113,13 +133,50 @@ def _checked(per_vertex, n: int, formats: Container[str] = _BYTES):
     return per_vertex
 
 
+class _Workspace:
+    """One graph's search buffers and the kernel's ``workspace`` struct
+    that points into them and into the graph's CSR; ``lock`` is held
+    around each kernel call."""
+
+    def __init__(self, graph: Graph) -> None:
+        n = graph.n_vertices
+        csr = dict(zip(("indptr", "indices", "weights"), graph.csr()))
+        buffers = {
+            "dist": np.full(n, INF),
+            "carry": np.empty(n),
+            "touched": np.empty(n, dtype=np.int64),
+            "heap": np.empty(n + len(csr["indices"]), dtype=_PAIR),  # every source, then one push per relaxation
+            "out_dist": np.empty(n),
+            "out_vertex": np.empty(n, dtype=np.int64),
+            "marked": np.empty(n, dtype=_MARKED),
+        }
+        self.nbytes = sum(a.nbytes for a in buffers.values())  # the CSR is the graph's
+        self.out_dist, self.out_vertex, self.marked = buffers["out_dist"], buffers["out_vertex"], buffers["marked"]
+        self.c = c = _ffi.new("workspace *")
+        c.n = n
+        self._views = []  # each from_buffer view keeps its array alive while the struct points into it
+        for name, array in {**csr, **buffers}.items():
+            view = _ffi.from_buffer(array)
+            self._views.append(view)
+            setattr(c, name, _ffi.cast(_ffi.typeof(getattr(c, name)), view))
+        self.lock = threading.Lock()
+
+
+def workspace(graph: Graph) -> _Workspace:
+    """``graph``'s search workspace, built on its first search."""
+    ws = graph._workspace
+    if ws is None:
+        ws = graph._workspace = _Workspace(graph)
+    return ws
+
+
 class Ball(NamedTuple):
     """One :func:`settle_below` search."""
 
     order: np.ndarray  # the settled vertices, in settle order
-    dist: np.ndarray  # per vertex: < budget exactly for the settled ones
+    dist: np.ndarray  # their distances, aligned with ``order``
     radius: float  # the smallest tentative distance >= budget, inf if none
-    marked: np.ndarray  # (dist, vertex, passed) records of the marked settled vertices
+    marked: list[tuple[float, int, float, float]]  # (dist, vertex, passed, mark) of the recorded marked vertices
     weight_sum: float  # the relaxed edges' weights, summed in settle order (Table 7)
 
 
@@ -136,45 +193,39 @@ def settle_below(
     The result is exactly a settle-order search's, stopped at its first
     ``dist >= budget``:
 
-    * ``order`` — the vertices settled below ``budget``, in settle order;
-      ``dist[v]`` is the distance of each, and every other entry of
-      ``dist`` is ``>= budget`` (``inf`` when unreached);
+    * ``order`` — the vertices settled below ``budget``, in settle order,
+      and ``dist`` — the distance of each, aligned with ``order``;
     * ``radius`` — the distance the search stops at: the smallest tentative
       distance ``>= budget``, ``inf`` when the ball is the whole component;
     * ``marked`` — with a float64 array ``mark`` (one entry per vertex),
-      one ``(dist, vertex, passed)`` record per settled vertex with
+      one ``(dist, vertex, passed, mark)`` record per settled vertex with
       ``mark > 0``, in settle order, where ``passed`` is the largest mark
       strictly before the vertex on its settle-order shortest path (``0.0``
-      if none);
+      if none).  With ``through`` given, only the vertices whose mark
+      exceeds ``passed`` are recorded (Lemma 5.5-i);
     * ``weight_sum`` — the weights of the edges the search relaxes, that is
       every edge out of a settled vertex it walks past, added one by one in
       settle order and CSR row order.
 
     A vertex whose ``through`` byte is 0 is settled but never walked past.
     """
-    indptr, indices, weights = graph.csr()
     n = graph.n_vertices
     if not 0 <= source < n:
         raise IndexError(f"source {source} is outside [0, {n})")
     fb = _ffi.from_buffer
-    dist = np.empty(n)
-    order = np.empty(n, dtype=np.int64)
-    work = np.empty(n + 2 * (len(indices) + 1))  # carry, then the heap
-    if mark is None:
-        marked, marks = np.empty(0, dtype=_MARKED), _NULL
-    else:
-        # An upper bound on the marks > 0: the float64s with a nonzero bit.
-        marked = np.empty(np.count_nonzero(_checked(mark, n, {"d"}).view(np.int64)), dtype=_MARKED)
-        marks = fb("double[]", mark)
-    n_marked = _ffi.new("int64_t *")
-    radius = _ffi.new("double *")
-    weight_sum = _ffi.new("double *")
-    count = _lib.settle_below(
-        n, fb("int64_t[]", indptr), fb("int64_t[]", indices), fb("double[]", weights), int(source), budget,
-        _NULL if through is None else fb("uint8_t[]", _checked(through, n)), marks,
-        fb("double[]", dist), fb("int64_t[]", order), fb(work), fb(marked), n_marked, radius, weight_sum,
-    )
-    return Ball(order[:count], dist, radius[0], marked[: n_marked[0]], weight_sum[0])
+    through = _NULL if through is None else fb("uint8_t[]", _checked(through, n))
+    mark = _NULL if mark is None else fb("double[]", _checked(mark, n, {"d"}))
+    ws = workspace(graph)
+    with ws.lock:
+        count = _lib.settle_below(ws.c, int(source), budget, through, mark)
+        c = ws.c
+        return Ball(
+            ws.out_vertex[:count].copy(),
+            ws.out_dist[:count].copy(),
+            c.radius,
+            ws.marked[: c.n_marked].tolist(),
+            c.weight_sum,
+        )
 
 
 def settle_to(
@@ -192,20 +243,17 @@ def settle_to(
     bit.  The search stops after ``limit`` targets, or after the first
     target whose ``stop`` byte is set (which is then the last one listed).
     """
-    indptr, indices, weights = graph.csr()
     n = graph.n_vertices
     fb = _ffi.from_buffer
     src = np.ascontiguousarray(sources, dtype=np.int64)
-    out = np.empty(n if limit is None else min(limit, n), dtype=_PAIR)
-    work = np.empty(n + 2 * (len(src) + len(indices)))  # dist, then the heap
-    count = _lib.settle_to(
-        n, fb("int64_t[]", indptr), fb("int64_t[]", indices), fb("double[]", weights),
-        fb("int64_t[]", src), len(src), fb("uint8_t[]", _checked(target, n)),
-        _NULL if stop is None else fb("uint8_t[]", _checked(stop, n)), len(out), fb(work), fb(out),
-    )
-    if count < 0:
-        raise IndexError(f"a source is outside [0, {n})")
-    return out[:count].tolist()
+    target = fb("uint8_t[]", _checked(target, n))
+    stop = _NULL if stop is None else fb("uint8_t[]", _checked(stop, n))
+    ws = workspace(graph)
+    with ws.lock:
+        count = _lib.settle_to(ws.c, fb("int64_t[]", src), len(src), target, stop, n if limit is None else limit)
+        if count < 0:
+            raise IndexError(f"a source is outside [0, {n})")
+        return list(zip(ws.out_dist[:count].tolist(), ws.out_vertex[:count].tolist()))
 
 
 def vertex_mask(n_vertices: int, vertices: Iterable[int]) -> np.ndarray:
@@ -220,4 +268,7 @@ def dijkstra(graph: Graph, source: int, *, reverse: bool = False) -> np.ndarray:
     """Distances from ``source`` to every vertex; unreached ones stay
     ``inf``.  ``reverse`` gives distances *to* ``source`` instead, from the
     same search on ``graph.reverse``."""
-    return settle_below(graph.reverse if reverse else graph, source, INF).dist
+    ball = settle_below(graph.reverse if reverse else graph, source, INF)
+    row = np.full(graph.n_vertices, INF)
+    row[ball.order] = ball.dist
+    return row

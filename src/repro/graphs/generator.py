@@ -59,6 +59,15 @@ class Graph:
     _csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, repr=False
     )
+    # The shortest-path kernel's search buffers, which repro.graphs.dijkstra
+    # builds on the graph's first search.  They are left out of pickles
+    # (Spark broadcasts graphs) and are freed with the graph.
+    _workspace: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_workspace", None)
+        return state
 
     # ------------------------------------------------------------- derived
     @property
@@ -150,21 +159,18 @@ def road_network(
     xy = np.stack([gx, gy], axis=1) + g.uniform(-0.35, 0.35, (n_road, 2))
     xy /= side  # normalize into ~unit square so weights are degree-like
 
-    # Candidate edges: grid 4-neighbours plus diagonals, randomly shuffled.
-    cand = []
-    for v in range(n_road):
-        r, c = divmod(v, side)
-        for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)):
-            r2, c2 = r + dr, c + dc
-            u2 = r2 * side + c2
-            if 0 <= c2 < side and r2 < side and u2 < n_road:
-                cand.append((v, u2))
-    cand = np.array(cand, dtype=np.int64)
-    g.shuffle(cand, axis=0)
+    # Candidate edges: grid 4-neighbours plus diagonals, in row-major order
+    # of their first endpoint, then randomly shuffled.
+    r, c = np.divmod(idx, side)
+    r2, c2 = r[:, None] + np.array([0, 1, 1, 1]), c[:, None] + np.array([1, 0, 1, -1])
+    u2 = r2 * side + c2
+    ok = (c2 >= 0) & (c2 < side) & (r2 < side) & (u2 < n_road)
+    cand = np.stack([np.broadcast_to(idx[:, None], ok.shape)[ok], u2[ok]], axis=1)
+    cand = cand[g.permutation(len(cand))]  # the draws of g.shuffle(cand, axis=0)
 
     # Kruskal-style: spanning tree first (guarantees connectivity), then top
     # up with the remaining shortest candidates to hit the edge target.
-    parent = np.arange(n_road)
+    parent = list(range(n_road))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -172,24 +178,22 @@ def road_network(
             x = parent[x]
         return x
 
-    tree_edges, extra_edges = [], []
-    for u, v in cand:
+    in_tree = np.zeros(len(cand), dtype=bool)
+    for i, (u, v) in enumerate(zip(*cand.T.tolist())):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-            tree_edges.append((u, v))
-        else:
-            extra_edges.append((u, v))
+            in_tree[i] = True
+    tree_edges, extra_edges = cand[in_tree], cand[~in_tree]
     if len(tree_edges) != n_road - 1:
         raise RuntimeError("grid candidates failed to span the graph")
     n_extra = min(len(extra_edges), n_edges_road - len(tree_edges))
     if n_extra > 0:
-        ee = np.array(extra_edges, dtype=np.int64)
-        lengths = np.linalg.norm(xy[ee[:, 0]] - xy[ee[:, 1]], axis=1)
+        lengths = np.linalg.norm(xy[extra_edges[:, 0]] - xy[extra_edges[:, 1]], axis=1)
         keep = np.argsort(lengths)[:n_extra]
-        edges = np.concatenate([np.array(tree_edges, dtype=np.int64), ee[keep]])
+        edges = np.concatenate([tree_edges, extra_edges[keep]])
     else:
-        edges = np.array(tree_edges, dtype=np.int64)
+        edges = tree_edges
 
     eu, ev = edges[:, 0].copy(), edges[:, 1].copy()
     ew = np.linalg.norm(xy[eu] - xy[ev], axis=1)

@@ -60,12 +60,13 @@ def partitioned_dijkstra(
         for pdf in batches:
             for source, cut in zip(pdf["source"].tolist(), pdf["cutoff"].tolist()):
                 ball = settle_below(g, source, cut)
-                vs = ball.order if emit is None else ball.order[emit[ball.order]]
+                keep = slice(None) if emit is None else emit[ball.order]
+                vs = ball.order[keep]
                 yield pd.DataFrame(
                     {
                         "source": np.full(len(vs), source, dtype=np.int64),
                         "vertex": vs,
-                        "dist": ball.dist[vs],
+                        "dist": ball.dist[keep],
                     }
                 )
 

@@ -267,7 +267,7 @@ class TestInstrumentation:
             mask[s] = True
             for through in (None, mask.tobytes()):
                 ball = settle_below(g, int(s), float("inf"), through=through)
-                dist = dict(zip(ball.order.tolist(), ball.dist[ball.order].tolist()))
+                dist = dict(zip(ball.order.tolist(), ball.dist.tolist()))
                 want = 0.0
                 for u in sorted(dist, key=lambda u: (dist[u], u)):
                     if through is None or through[u]:

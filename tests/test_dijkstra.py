@@ -1,6 +1,12 @@
 """Local shortest-path primitives vs independent references."""
 from __future__ import annotations
 
+import gc
+import pickle
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,14 +23,17 @@ INF = float("inf")
 
 def settle_below(g, source, budget, *, through=None, marks=None):
     """The kernel's ``settle_below`` with ``marks`` as a vertex -> mark dict,
-    its result as ``(dist, radius, passed)`` dicts, as the reference gives."""
+    its result as ``(dist, radius, passed)`` dicts, as the reference gives.
+    Each record's distance and mark must be the vertex's own."""
     mark = None
     if marks is not None:
         mark = np.zeros(g.n_vertices)
         mark[list(marks)] = list(marks.values())
     ball = dijkstra_mod.settle_below(g, source, budget, through=through, mark=mark)
-    dist = dict(zip(ball.order.tolist(), ball.dist[ball.order].tolist()))
-    return dist, ball.radius, {u: passed for _d, u, passed in ball.marked.tolist()}
+    dist = dict(zip(ball.order.tolist(), ball.dist.tolist()))
+    for d, u, _passed, m in ball.marked:
+        assert (d, m) == (dist[u], marks[u])
+    return dist, ball.radius, {u: passed for _d, u, passed, _m in ball.marked}
 
 
 def settle_to(g, sources, targets):
@@ -134,7 +143,9 @@ class TestCutoffAndTargets:
 
 def _scan_reference(g, source, budget, through, marks):
     """BSSR's settle-order modified Dijkstra, stopped at its first
-    ``dist >= budget``: distances, stop value and Lemma 5.5-i ``passed``."""
+    ``dist >= budget``: distances, stop value and Lemma 5.5-i ``passed`` of
+    the marked vertices, which with ``through`` given are only those whose
+    mark exceeds ``passed``."""
     dist, passed, radius = {}, {}, INF
     for d, u, parent in settle(g, (source,), through=through):
         if d >= budget:
@@ -142,7 +153,9 @@ def _scan_reference(g, source, budget, through, marks):
             break
         dist[u] = d
         passed[u] = max(passed[parent], marks.get(parent, 0.0)) if parent >= 0 else 0.0
-    return dist, radius, {u: b for u, b in passed.items() if u in marks}
+    return dist, radius, {
+        u: b for u, b in passed.items() if u in marks and (through is None or marks[u] > b)
+    }
 
 
 def _assert_matches_reference(g, marks, through):
@@ -303,6 +316,122 @@ class TestMultiSource:
 
     def test_overlapping_source_target(self, graphs):
         assert multi_source_to_targets(graphs[0], [4, 5], [5, 9]) == 0.0
+
+
+def _searches(g):
+    """A fixed batch of searches on ``g``, through both entry points, each
+    a thunk that returns plain values: full balls with marks and
+    ``through``, a budgeted ball, and target lists with a stop and a
+    limit."""
+    rng = np.random.default_rng(g.n_vertices)
+    mark = np.where(rng.random(g.n_vertices) < 0.3, rng.choice([0.25, 0.5, 1.0], g.n_vertices), 0.0)
+    targets, stop = mark > 0, mark == 1.0
+
+    def ball(s, budget, **kw):
+        b = dijkstra_mod.settle_below(g, s, budget, **kw)
+        return b.order.tolist(), b.dist.tolist(), b.radius, b.marked, b.weight_sum
+
+    out = []
+    for s in range(0, g.n_vertices, 5):
+        out += [
+            lambda s=s: ball(s, INF),
+            lambda s=s: ball(s, INF, through=mark != 1.0, mark=mark),
+            lambda s=s: ball(s, 0.3, mark=mark),
+            lambda s=s: dijkstra_mod.settle_to(g, [s], targets, stop=stop),
+            lambda s=s: dijkstra_mod.settle_to(g, [s, 0], targets, limit=3),
+        ]
+    return out
+
+
+def _run(searches):
+    return [search() for search in searches]
+
+
+class TestWorkspace:
+    """One reusable set of search buffers per graph."""
+
+    def test_a_second_search_leaves_the_first_results_alone(self, graphs):
+        g = graphs[0]
+        mark = np.where(g.cat_of >= 0, 0.5, 0.0)
+        ball = dijkstra_mod.settle_below(g, 0, INF, mark=mark)
+        found = dijkstra_mod.settle_to(g, [0], g.cat_of >= 0)
+        kept = (ball.order.copy(), ball.dist.copy(), list(ball.marked), list(found))
+        dijkstra_mod.settle_below(g, 7, INF, mark=mark * 2)
+        dijkstra_mod.settle_to(g, [7], g.cat_of < 0)
+        assert np.array_equal(ball.order, kept[0]) and np.array_equal(ball.dist, kept[1])
+        assert ball.marked == kept[2] and found == kept[3]
+
+    def test_interleaved_graphs_search_as_if_alone(self, graphs):
+        a, b = _searches(graphs[0]), _searches(graphs[1])
+        assert len(a) == len(b)
+        alone = (_run(a), _run(b))
+        interleaved = ([], [])
+        for search_a, search_b in zip(a, b):
+            interleaved[0].append(search_a())
+            interleaved[1].append(search_b())
+        assert interleaved == alone
+
+    def test_pickle_leaves_the_workspace_behind(self, graphs):
+        g = graphs[1]
+        want = _run(_searches(g))
+        assert dijkstra_mod.workspace(g) is g._workspace
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy._workspace is None and "_workspace" not in copy.__dict__
+        assert _run(_searches(copy)) == want
+        assert copy._workspace is not g._workspace
+
+    def test_short_lived_graphs_free_their_workspaces(self):
+        refs = []
+        for seed in range(200):
+            g = graph_from_edges(30, [(i, i + 1, 1.0 + seed % 3) for i in range(29)], {})
+            dijkstra_mod.settle_below(g, seed % 30, INF)
+            refs.append(weakref.ref(dijkstra_mod.workspace(g)))
+        del g
+        gc.collect()
+        assert not any(r() for r in refs)
+
+    def test_a_star_fills_the_heap(self):
+        """3,000 leaves around one centre: the centre's search holds every
+        leaf in the heap at once, and settle_to from every leaf seeds one
+        heap entry per source."""
+        rng = np.random.default_rng(5)
+        n = 3001
+        edges = [(0, i, float(w)) for i, w in zip(range(1, n), rng.integers(1, 5, n - 1))]
+        g = graph_from_edges(n, edges, {})
+        marks = {int(v): 0.5 for v in rng.choice(n, 300, replace=False)}
+        for s in (0, 1, 2999):
+            want = _scan_reference(g, s, INF, None, marks)
+            assert settle_below(g, s, INF, marks=marks) == want
+        leaves = list(range(1, n))
+        assert list(settle_to(g, leaves, set(range(n)))) == _filtered_settle(g, leaves, set(range(n)))
+
+    def test_threads_share_a_graph_safely(self, graphs):
+        """Searches from several threads on one graph give the results of
+        the same searches run one after another."""
+        g = graphs[2]
+        searches = _searches(g)
+        want = _run(searches)
+        got, errors = [], []
+
+        def work():
+            try:
+                for _ in range(5):
+                    got.append(_run(searches))
+            except Exception as e:  # reported below
+                errors.append(e)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert len(got) == 40 and all(r == want for r in got)
 
 
 class TestKernelBuild:

@@ -1,6 +1,7 @@
 """Synthetic road networks + PoI embedding (Table 5 substrate)."""
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -151,6 +152,62 @@ class TestPresets:
         a = dataset("tokyo-lite", scale=0.05)
         b = dataset("tokyo-lite", scale=0.05)
         assert np.array_equal(a.graph.edges_w, b.graph.edges_w)
+
+
+# SHA-256 of each preset's arrays at seed 7, at two scales: every dataset,
+# table and stored benchmark reference rests on these exact graphs, so any
+# rewrite of the generator must reproduce them bit for bit.
+_PRESET_DIGESTS = {
+    ("tokyo-lite", 0.05): {
+        "edges_u": "0623d95a0935ccbc4580022957470705cf07808d0ec2f8c62d9ef5581aea12ae",
+        "edges_v": "1c353938b6983b59d9b7973bca45457748f8877700da7221387177987f5332eb",
+        "edges_w": "a52fd5b1995a2523db4f30c9d8a4486c9c62572101345c71de24030e9b08926c",
+        "xy": "697e94dce32de5f794b676c748c2cd0b9cb5fb1fad1afcd15873121d354595e0",
+        "cat_of": "6c9944a895e44e089215511fdf7df2253576e76a20a48dd15c2c75be74ae8893",
+    },
+    ("tokyo-lite", 1.0): {
+        "edges_u": "ab32547517fb41296eeb24f8aeae065b9455260d03cd8d9eff9dc97cc4f7a976",
+        "edges_v": "de153a67b05aeb4090a69a84bf4fb81a681b91e694c2867d9b57dd958a4978a2",
+        "edges_w": "b42c8fdab83ad5075c0f61833fad575eef69bb0ca0666913e0283453873aeebd",
+        "xy": "4260553727dd24cda8b05081b34fc8831cd63f76104b767ddfcd2a9302144d81",
+        "cat_of": "a97f6f7123e586397fa6dacb5083b17372a4ec4dc4f1a51db2bde970b69e18e3",
+    },
+    ("nyc-lite", 0.05): {
+        "edges_u": "2af0ebe8bdec9645df371a89a47f2f387f22d0cdd477448172213516d5ce99fb",
+        "edges_v": "a123b7c116d95a401b2f3a03f95911aeec4c7e153d4e9633a612542e7a504729",
+        "edges_w": "2f5f8bcd43c8412ec6ef6f5192a28a58d0bccefd1847f3ee95f51f53a430c2a9",
+        "xy": "d0d36f7550fd5e1f7201285a59e1de22388c144d6e46732b2f43edcbf5a4d76e",
+        "cat_of": "d009f0d7987b8b1b6c8d8a91c3ec16cc5e3e3eac9a9e7dce15b70349057cd303",
+    },
+    ("nyc-lite", 1.0): {
+        "edges_u": "43387fb9067d60ab63c1bd34630b72e05590b43825e202fd8306ecb0fb8a7d75",
+        "edges_v": "c94ba9f085465c2fe8b2faddbf11cd5d640fa7e520554e3140ac7552fa3a2dbe",
+        "edges_w": "9e4f44aa501492e538e93e4f9e88192d4b6c155734b9ff6eebce48c40ac14e3e",
+        "xy": "9eededaf89d3cfc806f82ba9e49ef1ab686d9d2579927478d45f8c8482f96827",
+        "cat_of": "db22e7c7026f1d3e305cea85e50ea99096d827eefb0f1c1c279cefa3b401a133",
+    },
+    ("cal-lite", 0.05): {
+        "edges_u": "26db03d54131ecf27f5f4f9f41e641919ea58e592a73e9111c4d535bc1ce3e9f",
+        "edges_v": "220b13f7d3211e5ae72d372a55f6c83b901a6700d5af5631e5ee882c669f937e",
+        "edges_w": "772e6ffbac1285bdcbac2b3955a147b5fe6c0da953a60ee591ec0402f659a796",
+        "xy": "753ac72c1e5fb13bbfdaac97e2eab561b382b8f57fda56792853db8c7da8cde4",
+        "cat_of": "0da432244953a4feb50e2fc1359b72f2cb9e5fb81aae22b94f48a2f852c4cc90",
+    },
+    ("cal-lite", 1.0): {
+        "edges_u": "410487db06f34198a9013efbe9e6ff7dd6d8b398ebb42161e15c8fef80319178",
+        "edges_v": "4720b5188cc6dbdff506093d0a40c2c95be04a0a8a38d9e7558b17730520e7f2",
+        "edges_w": "5f756a464aa738b162b585ad692f1d2c91c7d0fc66e642da81206ba14f57701c",
+        "xy": "e92c5bacca57a0dfae881ea954508f63409dc3cbe4356b2365c6220197ddaa83",
+        "cat_of": "d2df6852b6d1da1d708e73a9470f04cc43d1eb5fc08ad2619cbd614a064f6825",
+    },
+}
+
+
+@pytest.mark.parametrize("name, scale", list(_PRESET_DIGESTS))
+def test_preset_arrays_are_pinned(name, scale):
+    g = dataset(name, scale=scale).graph
+    got = {k: hashlib.sha256(getattr(g, k).tobytes()).hexdigest() for k in _PRESET_DIGESTS[name, scale]}
+    assert got == _PRESET_DIGESTS[name, scale]
 
 
 class TestHelpers:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.scores import PartialRoute, is_sequenced_route, route_scores, semantic_score
+from repro.core.scores import is_sequenced_route, route_scores, semantic_score
 from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs.generator import graph_from_edges
 
@@ -77,24 +77,3 @@ class TestIsSequencedRoute:
     def test_road_vertex_rejected(self, world):
         g, f, t0, t1 = world
         assert not is_sequenced_route(g, f, [t0[0], t1[0]], (0, 3))
-
-
-class TestPartialRoute:
-    def test_extend(self):
-        r = PartialRoute((), 0.0, 1.0)
-        r2 = r.extend(5, 2.0, 0.5)
-        assert r2.pois == (5,)
-        assert r2.length == 2.0
-        assert r2.sim_product == 0.5
-        assert r2.min_semantic == 0.5
-        assert r2.end == 5 and r2.size == 1
-
-    def test_min_semantic_monotone(self):
-        r = PartialRoute((1,), 1.0, 0.8)
-        r2 = r.extend(2, 1.0, 0.9)
-        assert r2.min_semantic >= r.min_semantic
-
-    def test_immutable(self):
-        r = PartialRoute((1,), 1.0, 0.8)
-        with pytest.raises(AttributeError):
-            r.length = 2.0  # type: ignore[misc]
