@@ -61,7 +61,7 @@ def osr_dijkstra(
     if any(len(m) == 0 for m in match_sets):
         return None
     members = [frozenset(int(p) for p in m) for m in match_sets]
-    dedup_ok = pairwise_disjoint(members)
+    dedup_ok = pairwise_disjoint(match_sets)
     indptr, indices, weights = graph.csr()
 
     heap: list[tuple[float, int, int, int, tuple[int, ...]]] = [(0.0, 0, v_q, 0, ())]

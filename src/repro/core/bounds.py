@@ -21,8 +21,8 @@ search workspace, so they allocate only their results.
 
 Suffix sums turn the per-leg minima into the Lemma 5.8 lower bounds:
 a partial route of size ``m`` still has legs ``m→m+1, …, k-1→k`` ahead of
-it, so its length grows by at least ``sum_{i=m}^{k-1} l_s[i]``.  BSSR reads
-the suffix lists by route size.
+it, so its length grows by at least ``sum_{i=m}^{k-1} l_s[i]``.  BSSR, the
+Spark pipeline and Fig. 4 read the suffix lists by route size.
 """
 from __future__ import annotations
 
@@ -40,7 +40,8 @@ INF = float("inf")
 
 @dataclass
 class MinDistBounds:
-    """Per-leg minima and suffix sums; all-zero when disabled."""
+    """Per-leg minima and their suffix sums, which every engine reads by
+    route size."""
 
     ls_leg: list[float]  # ls_leg[i]: min semantic->semantic dist of leg i->i+1 (i in 0..k-2)
     lp_leg: list[float]  # lp_leg[i]: min semantic->perfect dist of leg i->i+1
@@ -48,16 +49,12 @@ class MinDistBounds:
     lp_suffix: list[float]
 
     @classmethod
-    def zeros(cls, k: int) -> "MinDistBounds":
-        return cls([0.0] * max(k - 1, 0), [0.0] * max(k - 1, 0), [0.0] * (k + 1), [0.0] * (k + 1))
-
-    @classmethod
     def compute(cls, ctx: QueryContext, threshold0: float = INF) -> "MinDistBounds":
         """Run Algorithm 4 for both the semantic- and perfect-match minima."""
         g = ctx.graph
         k = ctx.k
         if k < 2:
-            return cls.zeros(k)
+            return cls([], [], [0.0] * (k + 1), [0.0] * (k + 1))
         tree, perfect = _pois_in_range(ctx, threshold0)
         ls_leg, lp_leg = [], []
         for i in range(k - 1):
@@ -67,14 +64,6 @@ class MinDistBounds:
             ls_leg.append(ls if np.isfinite(ls) else 0.0)
             lp_leg.append(lp if np.isfinite(lp) else 0.0)
         return cls(ls_leg, lp_leg, _suffix(ls_leg, k), _suffix(lp_leg, k))
-
-    def remaining_ls(self, route_size: int) -> float:
-        """Min extra length for a size-``m`` partial route (semantic legs)."""
-        return self.ls_suffix[route_size]
-
-    def remaining_lp(self, route_size: int) -> float:
-        """Min extra length if every remaining match must be perfect."""
-        return self.lp_suffix[route_size]
 
 
 def _pois_in_range(ctx: QueryContext, threshold0: float) -> tuple[np.ndarray, np.ndarray]:

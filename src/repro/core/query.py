@@ -24,7 +24,7 @@ empty ``S_q``.
 """
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,14 +34,11 @@ from repro.graphs.dijkstra import dijkstra
 from repro.graphs.generator import Graph
 
 
-def pairwise_disjoint(sets: Sequence[Collection[int]]) -> bool:
-    """True when no vertex lies in two of ``sets``."""
-    seen: set[int] = set()
-    for s in sets:
-        if not seen.isdisjoint(s):
-            return False
-        seen.update(s)
-    return True
+def pairwise_disjoint(sets: Sequence[np.ndarray]) -> bool:
+    """True when no vertex lies in two of ``sets``: one or more arrays, each
+    of distinct vertex ids."""
+    ids = np.concatenate(sets)
+    return np.unique(ids).size == ids.size
 
 
 @dataclass
@@ -90,11 +87,7 @@ class QueryContext:
         # earlier PoIs can never matter to a later position's search), i.e.
         # no column of ``sim`` has two nonzero entries.  Distinct trees (the
         # paper's workload constraint) imply it for single-category PoIs.
-        seen = np.zeros(g.n_vertices, dtype=bool)
-        self.trees_distinct = True
-        for hit in self.sim > 0:
-            self.trees_distinct &= not (seen & hit).any()
-            seen |= hit
+        self.trees_distinct = pairwise_disjoint([np.flatnonzero(hit) for hit in self.sim > 0])
         # §6 destination leg: one search from the destination on the
         # reversed graph, which is the graph itself when undirected.
         self.dest_dist = (

@@ -30,7 +30,8 @@ not O(n).  The workspace is freed with its graph and is never pickled with
 it; a lock held around each kernel call keeps two threads out of one
 workspace.  The kernel is a cffi extension module named after a hash of
 its source; the first import builds it with the system C compiler and
-publishes it next to this file, and later imports only load it.
+publishes it next to this file in place of any older build, and later
+imports only load it.
 """
 from __future__ import annotations
 
@@ -85,9 +86,9 @@ def _module_name() -> str:
 
 
 def _build(name: str, directory: Path) -> None:
-    """Compile the kernel as extension module ``repro.graphs.<name>`` and
-    move it into ``directory``.  Raises ``ImportError`` when cffi or a
-    working C compiler is missing."""
+    """Compile the kernel as extension module ``repro.graphs.<name>``, move
+    it into ``directory`` and delete the older ``_settle_*`` builds there.
+    Raises ``ImportError`` when cffi or a working C compiler is missing."""
     needs = "repro.graphs.dijkstra builds its shortest-path kernel from _settle.c with cffi and a C compiler"
     try:
         import cffi
@@ -99,7 +100,11 @@ def _build(name: str, directory: Path) -> None:
     try:
         with tempfile.TemporaryDirectory() as tmp:
             built = ffi.compile(tmpdir=tmp)
-            os.replace(built, directory / Path(built).name)
+            published = directory / Path(built).name
+            os.replace(built, published)
+        for stale in directory.glob("_settle_*.so"):
+            if stale != published:
+                stale.unlink(missing_ok=True)
     except (cffi.VerificationError, ImportError, OSError) as e:
         raise ImportError(f"{needs}, and the build failed: {e}") from e
 

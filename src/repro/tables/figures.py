@@ -79,8 +79,8 @@ def fig4_rows(*, scale: float | None = None, n_queries: int | None = None, size:
             if not np.isfinite(t0) or t0 <= 0:
                 continue
             b = MinDistBounds.compute(ctx, t0)
-            ls_ratio.append(b.remaining_ls(1) / t0)
-            lp_ratio.append(b.remaining_lp(1) / t0)
+            ls_ratio.append(b.ls_suffix[1] / t0)
+            lp_ratio.append(b.lp_suffix[1] / t0)
         out.append(
             {
                 "Dataset": name,

@@ -71,17 +71,20 @@ class TestSuffixSums:
         # size-0/1 routes still face all legs; size-2 faces legs 1,2; ...
         assert ls == [7.0, 7.0, 6.0, 4.0, 0.0]
 
-    def test_k1_zero(self):
-        b = MinDistBounds.zeros(1)
-        assert b.remaining_ls(0) == 0.0
-        assert b.remaining_ls(1) == 0.0
+    def test_k1_zero(self, random_world_factory):
+        """A one-position query has no leg: no minima, all-zero suffixes."""
+        g, f, rng = random_world_factory(1)
+        v_q, cats = random_query(g, f, rng, 1)
+        b = MinDistBounds.compute(QueryContext(g, f, v_q, cats))
+        assert b.ls_leg == b.lp_leg == []
+        assert b.ls_suffix == b.lp_suffix == [0.0, 0.0]
 
     def test_remaining_decreases_with_size(self, random_world_factory):
         g, f, rng = random_world_factory(1)
         v_q, cats = random_query(g, f, rng, 3)
         ctx = QueryContext(g, f, v_q, cats)
         b = MinDistBounds.compute(ctx)
-        vals = [b.remaining_ls(m) for m in range(ctx.k + 1)]
+        vals = b.ls_suffix
         assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(len(vals) - 1))
         assert vals[-1] == 0.0
 
@@ -129,8 +132,3 @@ class TestThresholdRestriction:
         tight = MinDistBounds.compute(ctx, radius)
         for i in range(ctx.k - 1):
             assert tight.ls_leg[i] >= free.ls_leg[i] - 1e-12
-
-    def test_zeros_factory(self):
-        b = MinDistBounds.zeros(4)
-        assert b.ls_leg == [0.0] * 3
-        assert b.remaining_lp(2) == 0.0

@@ -445,6 +445,23 @@ class TestKernelBuild:
         assert "cffi" in str(err.value)
         assert not list(tmp_path.glob("_settle_no_compiler*"))
 
+    def test_build_replaces_older_builds(self, tmp_path):
+        """A build deletes the older ``_settle_*`` builds beside it, and the
+        new one imports."""
+        import importlib.machinery
+        import importlib.util
+
+        older = tmp_path / f"_settle_0000000000000000{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+        older.write_bytes(b"an older build")
+        name = "_settle_ffffffffffffffff"
+        dijkstra_mod._build(name, tmp_path)
+        built = list(tmp_path.glob("_settle_*.so"))
+        assert [p.name.split(".")[0] for p in built] == [name]
+        spec = importlib.util.spec_from_file_location(f"repro.graphs.{name}", built[0])
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        assert hasattr(mod.lib, "settle_below") and hasattr(mod.lib, "settle_to")
+
     def test_source_and_vertex_arrays_are_checked(self, graphs):
         """A source outside the graph or a per-vertex array of the wrong
         size raises instead of reaching the kernel."""

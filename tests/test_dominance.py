@@ -172,11 +172,10 @@ class TestSkylineSet:
 
 class TestDuckDBSkylineOracle:
     def test_not_exists_dominance_sql(self, spark):
-        """Spark window skyline == DuckDB NOT EXISTS skyline on random score
-        sets (checked through the repo oracle)."""
+        """``SkylineSet`` fed random scores == DuckDB NOT EXISTS skyline
+        (checked through the repo oracle)."""
         import pandas as pd
 
-        from repro.core.skysr_spark import skyline_df
         from repro.oracle import assert_equivalent
 
         rng = np.random.default_rng(7)
@@ -186,7 +185,10 @@ class TestDuckDBSkylineOracle:
                 "semantic": rng.choice([0.0, 0.2, 0.4, 0.6], 60),
             }
         )
-        sdf = skyline_df(spark.createDataFrame(pdf)).select("length", "semantic").distinct()
+        S = SkylineSet()
+        for l, s in zip(pdf["length"].tolist(), pdf["semantic"].tolist()):
+            S.update(l, s, None)
+        sdf = spark.createDataFrame([(l, s) for l, s, _p in S.routes()], "length DOUBLE, semantic DOUBLE")
         assert_equivalent(
             sdf,
             """

@@ -76,7 +76,7 @@ class TestLemma58PerfectMatchBound:
     @pytest.mark.parametrize("seed", range(3))
     def test_lp_lower_bounds_perfect_completion(self, random_world_factory, seed):
         """Completing a size-m route with only perfect matches adds at
-        least remaining_lp(m) length."""
+        least lp_suffix[m] length."""
         g, f, rng = random_world_factory(seed, n_road=60, n_pois=40)
         v_q, cats = random_query(g, f, rng, 3)
         ctx = QueryContext(g, f, v_q, cats)
@@ -92,7 +92,7 @@ class TestLemma58PerfectMatchBound:
                 added = sum(
                     float(rows[combo[i]][combo[i + 1]]) for i in range(m - 1, ctx.k - 1)
                 )
-                assert added >= b.remaining_lp(m) - 1e-9
+                assert added >= b.lp_suffix[m] - 1e-9
 
 
 class TestLemma55SwapDominance:

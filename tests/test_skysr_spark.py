@@ -73,6 +73,26 @@ class TestPipelineExactness:
             assert r["semantic"] == pytest.approx(s2)
 
 
+class TestPlanShape:
+    @pytest.mark.parametrize(("size", "max_jobs"), [(2, 11), (3, 16)])
+    def test_jobs_per_query(self, spark, tiny_tokyo, size, max_jobs):
+        """A query runs at most ``max_jobs`` Spark jobs: one
+        ``localCheckpoint`` per level but the last and one read of the
+        survivors, with no per-level round trip through the driver."""
+        ds = tiny_tokyo
+        rng = np.random.default_rng(size)
+        v_q, cats = random_query(ds.graph, ds.forest, rng, size)
+        sc = spark.sparkContext
+        group = f"plan-shape-{size}"
+        sc.setJobGroup(group, group)
+        try:
+            got = skysr_spark_scores(skysr_spark(spark, ds.graph, ds.forest, v_q, cats))
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert got == bssr(ds.graph, ds.forest, v_q, cats).score_set()
+        assert len(sc.statusTracker().getJobIdsForGroup(group)) <= max_jobs
+
+
 class TestRelationalPieces:
     def test_dataset_tables_counts(self, spark, tiny_tokyo):
         g = tiny_tokyo.graph

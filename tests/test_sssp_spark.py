@@ -20,43 +20,54 @@ def world():
     return g
 
 
-def _collect(df) -> dict[tuple[int, int], float]:
-    return {(int(r["source"]), int(r["vertex"])): float(r["dist"]) for r in df.collect()}
+def _scan(spark, g, cutoffs: dict[int, float], mark: np.ndarray):
+    """The engine's rows from ``(source, cutoff)`` rows, as
+    ``{(source, vertex): (dist, mark)}``."""
+    sources = spark.createDataFrame(list(cutoffs.items()), "source LONG, cutoff DOUBLE")
+    rows = partitioned_dijkstra(g, sources, mark).collect()
+    got = {(int(r["source"]), int(r["vertex"])): (float(r["dist"]), float(r["mark"])) for r in rows}
+    assert len(got) == len(rows)
+    return got
 
 
 class TestPartitionedDijkstra:
     def test_matches_local(self, spark, world):
         sources = [0, 5, int(world.poi_ids[0])]
-        got = _collect(partitioned_dijkstra(spark, world, sources))
+        got = _scan(spark, world, dict.fromkeys(sources, INF), np.ones(world.n_vertices))
         for s in sources:
             ref = dijkstra(world, s)
             for v in range(world.n_vertices):
                 if np.isfinite(ref[v]):
-                    assert got[(s, v)] == pytest.approx(ref[v])
+                    assert got[(s, v)] == (pytest.approx(ref[v]), 1.0)
+                else:
+                    assert (s, v) not in got
 
     def test_cutoffs_respected(self, spark, world):
-        ref = dijkstra(world, 0)
-        cut = float(np.median(ref[np.isfinite(ref)]))
-        got = _collect(partitioned_dijkstra(spark, world, [0], cutoffs={0: cut}))
-        assert got, "cutoff left no vertices"
-        for (s, v), d in got.items():
-            assert d < cut
-            assert d == pytest.approx(ref[v])
-        # Everything strictly inside the cutoff must be present.
-        for v in range(world.n_vertices):
-            if ref[v] < cut:
-                assert (0, v) in got
+        """Each source stops at its own cutoff."""
+        refs = {s: dijkstra(world, s) for s in (0, 7)}
+        cut = {s: float(np.quantile(ref[np.isfinite(ref)], q)) for (s, ref), q in zip(refs.items(), (0.5, 0.2))}
+        got = _scan(spark, world, cut, np.ones(world.n_vertices))
+        for s, ref in refs.items():
+            assert any(src == s for src, _v in got), "cutoff left no vertices"
+            # Exactly the vertices strictly inside the source's cutoff.
+            assert {v for src, v in got if src == s} == set(np.flatnonzero(ref < cut[s]).tolist())
+            for v in np.flatnonzero(ref < cut[s]):
+                assert got[(s, int(v))][0] == pytest.approx(ref[v])
 
-    def test_emit_only_mask(self, spark, world):
-        mask = np.zeros(world.n_vertices, dtype=bool)
-        mask[world.poi_ids] = True
-        got = _collect(partitioned_dijkstra(spark, world, [3], emit_only=mask))
-        assert got
-        assert all(mask[v] for (_s, v) in got)
+    def test_mark_selects_rows(self, spark, world):
+        """Only vertices with a positive mark are emitted, each with its
+        mark."""
+        mark = np.zeros(world.n_vertices)
+        mark[world.poi_ids] = np.linspace(0.1, 1.0, len(world.poi_ids))
+        got = _scan(spark, world, {3: INF}, mark)
+        ref = dijkstra(world, 3)
+        assert {v for _s, v in got} == {int(p) for p in world.poi_ids if np.isfinite(ref[p])}
+        for (_s, v), (d, m) in got.items():
+            assert d == pytest.approx(ref[v]) and m == mark[v]
 
     def test_many_sources_partitioned(self, spark, world):
         sources = [int(p) for p in world.poi_ids[:12]]
-        got = _collect(partitioned_dijkstra(spark, world, sources))
+        got = _scan(spark, world, dict.fromkeys(sources, INF), np.ones(world.n_vertices))
         assert {s for (s, _v) in got} == set(sources)
 
     def test_duckdb_oracle_bounded_walk(self, spark):
@@ -70,7 +81,8 @@ class TestPartitionedDijkstra:
             [pdf, pdf.rename(columns={"src": "dst", "dst": "src"})[["src", "dst", "w"]]],
             ignore_index=True,
         )
-        sdf = partitioned_dijkstra(spark, g, [0]).select("vertex", "dist")
+        sources = spark.createDataFrame([(0, INF)], "source LONG, cutoff DOUBLE")
+        sdf = partitioned_dijkstra(g, sources, np.ones(g.n_vertices)).select("vertex", "dist")
         assert_equivalent(
             sdf,
             """

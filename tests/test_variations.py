@@ -79,9 +79,10 @@ class TestDirectedGraphs:
 
         g = graph_from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)], {}, directed=True)
         ref = dijkstra(g, 0)
+        sources = spark.createDataFrame([(0, float("inf"))], "source LONG, cutoff DOUBLE")
         got_p = {
             int(r["vertex"]): float(r["dist"])
-            for r in partitioned_dijkstra(spark, g, [0]).collect()
+            for r in partitioned_dijkstra(g, sources, np.ones(g.n_vertices)).collect()
         }
         for v in range(4):
             assert got_p[v] == pytest.approx(ref[v])
