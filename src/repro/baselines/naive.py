@@ -8,7 +8,10 @@ is associated with all ancestors of ``c``).  The number of sequences is
 ``prod_i depth(c_i)`` — the exponential blow-up that motivates BSSR.
 
 Each candidate route's *actual* scores are computed from its PoIs' real
-categories (Eq. 6/7) before the skyline pass.  This reproduces the paper's
+categories (Eq. 6/7) before the skyline pass: one
+:meth:`~repro.graphs.categories.CategoryForest.sim_row` per position, read
+at each PoI's category, or at its best one for a §6 multi-category PoI, as
+:class:`~repro.core.query.QueryContext` reads it.  This reproduces the paper's
 baseline faithfully; see DESIGN.md §deviations-4 for the exactness caveat on
 trees deeper than 2.
 """
@@ -21,7 +24,8 @@ import numpy as np
 
 from repro.baselines.osr import osr_dijkstra, osr_pne
 from repro.core.dominance import skyline
-from repro.core.query import QueryContext
+from repro.core.query import QueryContext  # noqa: F401  (perfbench's tracer wraps this module's name)
+from repro.core.query import validate_query
 from repro.core.scores import semantic_score
 from repro.graphs.categories import CategoryForest
 from repro.graphs.generator import Graph
@@ -59,7 +63,10 @@ def naive_skysr(
     """
     if engine not in ("dijkstra", "pne"):
         raise ValueError(f"unknown OSR engine {engine!r}; expected 'dijkstra' or 'pne'")
-    ctx = QueryContext(graph, forest, v_q, seq_cats, destination)
+    validate_query(graph, forest, v_q, seq_cats, destination)
+    # One Wu–Palmer row per position, with a last 0 that a road vertex's
+    # cat_of of -1 picks.
+    sim_rows = [np.append(forest.sim_row(c), 0.0) for c in seq_cats]
     osr: Callable = osr_dijkstra if engine == "dijkstra" else osr_pne
     match_cache: dict[int, np.ndarray] = {}
     candidates: list[tuple[float, float, tuple[int, ...]]] = []
@@ -83,8 +90,9 @@ def naive_skysr(
         if destination is not None:
             route = route[:-1]
         prod = 1.0
-        for pos, p in enumerate(route):
-            prod *= ctx.sim_at(pos, p)
+        for row, p in zip(sim_rows, route):
+            cats = graph.extra_cats.get(p)
+            prod *= float(row[graph.cat_of[p]] if cats is None else row[[graph.cat_of[p], *cats]].max())
         candidates.append((length, semantic_score(prod), route))
     if stats is not None:
         stats["osr_queries"] = n_osr

@@ -1,4 +1,4 @@
-"""The skyline machinery (Def. 4.1/4.2) — local and DataFrame forms.
+"""The skyline machinery (Def. 4.1/4.2).
 
 ``R`` dominates ``R'`` when it is at least as good in both scores and
 strictly better in one.  A *minimal* result set keeps exactly one route per
@@ -6,13 +6,19 @@ undominated (length, semantic) score pair.
 
 :class:`SkylineSet` maintains the paper's running set ``S`` as a score
 frontier sorted by semantic score with strictly decreasing length, which
-makes the branch-and-bound threshold of Eq. (3) an O(log |S|) lookup.
+makes the branch-and-bound threshold of Eq. (3) an O(log |S|) lookup.  The
+frontier is the compiled kernel's ``skyline`` struct (``_skyline.c``): the
+same code serves NNinit, the Spark pipeline's last level and BSSR's
+compiled loop, which updates a ``SkylineSet`` in place.  ``_EPS`` is handed
+to the struct, so the tolerance is written once, here.
 """
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
+
+from repro.graphs.dijkstra import ffi, lib
 
 INF = float("inf")
 _EPS = 1e-12  # score-equality tolerance for float legs summed in different orders
@@ -54,45 +60,60 @@ def skyline(items: list[tuple[float, float, Any]]) -> list[tuple[float, float, A
     ]
 
 
-@dataclass
 class SkylineSet:
     """Running minimal set ``S`` with Eq. (3) threshold queries.
 
     Invariant: ``entries`` is sorted by semantic score ascending with length
-    strictly decreasing — a proper 2-D skyline frontier.
+    strictly decreasing — a proper 2-D skyline frontier.  The scores live in
+    :attr:`frontier`; each payload stays here under the id the kernel gave
+    its entry.
     """
 
-    entries: list[tuple[float, float, Any]] = field(default_factory=list)  # (s, l, payload)
+    def __init__(self) -> None:
+        frontier = ffi.new("skyline *")
+        frontier.eps = _EPS
+        self.frontier = ffi.gc(frontier, lib.skyline_release)
+        self._payloads: dict[int, Any] = {}
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.frontier.n
+
+    def _rows(self) -> list[tuple[float, float, int]]:
+        """The frontier's ``(s, l, id)`` entries, in order."""
+        f = self.frontier
+        if not f.n:
+            return []
+        return np.frombuffer(ffi.buffer(f.e, f.n * _ENTRY.itemsize), dtype=_ENTRY).tolist()
+
+    @property
+    def entries(self) -> list[tuple[float, float, Any]]:
+        """The frontier as ``(s, l, payload)`` rows."""
+        return [(s, l, self._payloads[i]) for (s, l, i) in self._rows()]
 
     def routes(self) -> list[tuple[float, float, Any]]:
         """Contents as ``(l, s, payload)`` rows."""
-        return [(l, s, p) for (s, l, p) in self.entries]
+        return [(l, s, self._payloads[i]) for (s, l, i) in self._rows()]
 
     def update(self, l: float, s: float, payload: Any) -> bool:
         """``S.update(R)`` — insert unless dominated/equivalent; evict any
         entries the newcomer dominates.  Returns True when inserted.  An
         infinite ``l`` is no route (its §6 destination leg is unreachable)
         and is never inserted."""
-        if l == INF:
+        i = lib.skyline_update(self.frontier, l, s)
+        if i == -2:
+            raise MemoryError("the skyline frontier could not grow")
+        if i < 0:
             return False
-        i = bisect.bisect_right(self.entries, (s + _EPS, INF, None))
-        # Frontier lengths decrease with s, so the tightest competitor with
-        # s' <= s is the one just before the insertion point.
-        if i > 0 and self.entries[i - 1][1] <= l + _EPS:
-            return False  # dominated or equivalent
-        start = i
-        # An equal-s entry sits just before i; if it survived the check above
-        # its length is larger, so the newcomer dominates it (Def. 4.1-i).
-        while start > 0 and self.entries[start - 1][0] >= s - _EPS and self.entries[start - 1][1] >= l - _EPS:
-            start -= 1
-        j = i
-        while j < len(self.entries) and self.entries[j][1] >= l - _EPS:
-            j += 1  # these have s' >= s and l' >= l: dominated by newcomer
-        self.entries[start:j] = [(s, l, payload)]
+        self.attach([i], [payload])
         return True
+
+    def attach(self, ids: list[int], payloads: list[Any]) -> None:
+        """Give the entries the kernel inserted under ``ids`` their payloads,
+        and drop the payloads of evicted entries once they outnumber the
+        frontier."""
+        self._payloads.update(zip(ids, payloads))
+        if len(self._payloads) > 2 * len(self) + 16:
+            self._payloads = {i: self._payloads[i] for (_s, _l, i) in self._rows()}
 
     def threshold(self, min_semantic: float) -> float:
         """Eq. (3): min ``l(R')`` over ``R' in S`` with ``s(R') <= s_(R)``.
@@ -100,7 +121,8 @@ class SkylineSet:
         A route whose length reaches this value is dominated-or-equivalent
         however it is completed (Lemma 5.3), so it can be pruned.
         """
-        i = bisect.bisect_right(self.entries, (min_semantic + _EPS, INF, None))
-        if i == 0:
-            return INF
-        return self.entries[i - 1][1]
+        return lib.skyline_threshold(self.frontier, min_semantic)
+
+
+# The layout of the kernel's `sky_entry` struct.
+_ENTRY = np.dtype([("s", np.float64), ("l", np.float64), ("id", np.int64)])

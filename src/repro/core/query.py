@@ -17,8 +17,9 @@ The §6 destination leg is computed here once: ``dest_dist`` holds every
 vertex's distance *to* the destination, from one reverse search, or is
 ``None`` when the query has no destination.
 
-Building the context validates the query, so every engine rejects the same
-bad input with a ``ValueError``: a start point or destination outside
+Building the context validates the query with :func:`validate_query`,
+which the naive baselines call too, so every engine rejects the same bad
+input with a ``ValueError``: a start point or destination outside
 ``[0, n_vertices)``, a category id outside ``[0, n_categories)``, or an
 empty ``S_q``.
 """
@@ -41,6 +42,21 @@ def pairwise_disjoint(sets: Sequence[np.ndarray]) -> bool:
     return np.unique(ids).size == ids.size
 
 
+def validate_query(
+    graph: Graph, forest: CategoryForest, v_q: int, seq_cats: Sequence[int], destination: int | None = None
+) -> None:
+    """Raise ``ValueError`` unless ``(v_q, S_q)`` with the optional
+    ``destination`` is a query on ``graph`` and ``forest``."""
+    if not seq_cats:
+        raise ValueError("empty category sequence S_q")
+    for name, v in (("v_q", v_q), ("destination", destination)):
+        if v is not None and not 0 <= v < graph.n_vertices:
+            raise ValueError(f"{name} {v} is outside [0, {graph.n_vertices})")
+    for c in seq_cats:
+        if not 0 <= c < forest.n_categories:
+            raise ValueError(f"category id {c} is outside [0, {forest.n_categories})")
+
+
 @dataclass
 class QueryContext:
     """The match table and destination leg of one SkySR query ``(v_q, S_q)``."""
@@ -59,14 +75,7 @@ class QueryContext:
 
     def __post_init__(self) -> None:
         g, forest = self.graph, self.forest
-        if not self.seq_cats:
-            raise ValueError("empty category sequence S_q")
-        for name, v in (("v_q", self.v_q), ("destination", self.destination)):
-            if v is not None and not 0 <= v < g.n_vertices:
-                raise ValueError(f"{name} {v} is outside [0, {g.n_vertices})")
-        for c in self.seq_cats:
-            if not 0 <= c < forest.n_categories:
-                raise ValueError(f"category id {c} is outside [0, {forest.n_categories})")
+        validate_query(g, forest, self.v_q, self.seq_cats, self.destination)
         # One Wu–Palmer row per position, and a last column of zeros that a
         # road vertex's cat_of of -1 picks.  ``take`` keeps the rows
         # contiguous, as the kernel reads them.

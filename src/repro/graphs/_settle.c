@@ -8,45 +8,37 @@
  * parent.  Pops come in (dist, vertex) order among the pairs pushed so
  * far, which is the settle order that repro.graphs.dijkstra documents.
  *
- * Both entry points work in one graph's workspace, whose buffers the
- * caller allocated once; nothing here allocates.  `dist` is all inf
+ * Both entry points work in one graph's workspace.  `dist` is all inf
  * between calls: a search lists every vertex whose dist it lowers from inf
  * in `touched` and resets only those on exit, so a call costs what it
- * visits, not O(n).  The record struct is the caller's numpy record
- * layout.  Compiled without -ffast-math or FMA contraction, every
- * double is the one Python computes.
+ * visits, not O(n).  The heap starts at 1,024 pairs and the marked records
+ * at 256, and each doubles when full; a search that cannot grow them
+ * returns -2 with the workspace reset.  The record struct is the caller's
+ * numpy record layout.  Compiled without -ffast-math or FMA contraction,
+ * every double is the one Python computes.
+ *
+ * _skyline.c and _bssr.c are compiled after this file, in one unit, and
+ * use its `grow`.
  */
+#include <Python.h>
 #include <math.h>
-#include <stdint.h>
+#include <string.h>
 
-typedef struct {
-    double d;
-    int64_t v;
-} pair;
+#include "_kernel.h"
 
-typedef struct {
-    double d;
-    int64_t v;
-    double passed;
-    double mark;
-} marked_t;
-
-typedef struct {
-    int64_t n;
-    const int64_t *indptr;
-    const int64_t *indices;
-    const double *weights;
-    double *dist;        /* n, all inf between calls */
-    double *carry;       /* n, per reached vertex: the largest mark before it */
-    int64_t *touched;    /* n */
-    pair *heap;          /* n + indptr[n] */
-    double *out_dist;    /* n */
-    int64_t *out_vertex; /* n */
-    marked_t *marked;    /* n */
-    int64_t n_marked;
-    double radius;
-    double weight_sum;
-} workspace;
+/* `buf`, which holds `*cap` items of `size` bytes, reallocated to hold at
+ * least `need`: the capacity doubles from `initial`.  NULL, with `buf` and
+ * `*cap` as they were, when the allocator fails. */
+static void *grow(void *buf, int64_t *cap, int64_t need, size_t size, int64_t initial)
+{
+    int64_t c = *cap ? *cap : initial;
+    while (c < need)
+        c *= 2;
+    void *p = PyMem_RawRealloc(buf, (size_t)c * size);
+    if (p)
+        *cap = c;
+    return p;
+}
 
 /* (dist, vertex) order; without && and || it compiles free of branches */
 static inline int before(pair a, pair b)
@@ -54,9 +46,15 @@ static inline int before(pair a, pair b)
     return (a.d < b.d) | ((a.d == b.d) & (a.v < b.v));
 }
 
-static inline void push(pair *heap, int64_t *size, double d, int64_t v)
+static inline int push(workspace *w, int64_t *size, double d, int64_t v)
 {
-    pair x = {d, v};
+    if (*size == w->heap_cap) {
+        pair *grown = grow(w->heap, &w->heap_cap, *size + 1, sizeof(pair), 1024);
+        if (!grown)
+            return -1;
+        w->heap = grown;
+    }
+    pair *heap = w->heap, x = {d, v};
     int64_t i = (*size)++;
     while (i > 0) {
         int64_t up = (i - 1) / 2;
@@ -66,6 +64,7 @@ static inline void push(pair *heap, int64_t *size, double d, int64_t v)
         i = up;
     }
     heap[i] = x;
+    return 0;
 }
 
 static inline pair pop(pair *heap, int64_t *size)
@@ -110,19 +109,18 @@ int64_t settle_below(workspace *w, int64_t source, double budget,
     const double *weights = w->weights;
     double *dist = w->dist, *carry = w->carry;
     int64_t *touched = w->touched;
-    pair *heap = w->heap;
     double *out_dist = w->out_dist;
     int64_t *out_vertex = w->out_vertex;
-    marked_t *marked = w->marked;
     int64_t size = 0, count = 0, nm = 0, nt = 0;
     double ws = 0.0, radius = INFINITY;
+    int failed = 0;
     dist[source] = 0.0;
     carry[source] = 0.0;
     touched[nt++] = source;
     if (0.0 < budget)
-        push(heap, &size, 0.0, source);
-    while (size > 0) {
-        pair top = pop(heap, &size);
+        failed = push(w, &size, 0.0, source);
+    while (size > 0 && !failed) {
+        pair top = pop(w->heap, &size);
         double d = top.d;
         int64_t u = top.v;
         if (d > dist[u])
@@ -132,14 +130,23 @@ int64_t settle_below(workspace *w, int64_t source, double budget,
         double pm = carry[u];
         if (mark && mark[u] > 0.0) {
             double m = mark[u];
-            if (!through || m > pm)
-                marked[nm++] = (marked_t){d, u, pm, m};
+            if (!through || m > pm) {
+                if (nm == w->marked_cap) {
+                    marked_t *grown = grow(w->marked, &w->marked_cap, nm + 1, sizeof(marked_t), 256);
+                    if (!grown) {
+                        failed = 1;
+                        break;
+                    }
+                    w->marked = grown;
+                }
+                w->marked[nm++] = (marked_t){d, u, pm, m};
+            }
             if (m > pm)
                 pm = m;
         }
         if (through && !through[u])
             continue;
-        for (int64_t j = indptr[u]; j < indptr[u + 1]; j++) {
+        for (int64_t j = indptr[u]; j < indptr[u + 1] && !failed; j++) {
             int64_t x = indices[j];
             double nd = d + weights[j];
             ws += weights[j];
@@ -149,7 +156,7 @@ int64_t settle_below(workspace *w, int64_t source, double budget,
                 dist[x] = nd;
                 carry[x] = pm;
                 if (nd < budget)
-                    push(heap, &size, nd, x);
+                    failed = push(w, &size, nd, x);
             }
         }
     }
@@ -159,10 +166,10 @@ int64_t settle_below(workspace *w, int64_t source, double budget,
             radius = dist[x];
         dist[x] = INFINITY;
     }
-    w->n_marked = nm;
+    w->n_marked = failed ? 0 : nm;
     w->radius = radius;
     w->weight_sum = ws;
-    return count;
+    return failed ? -2 : count;
 }
 
 /* Settle from all `sources` at once (each at distance 0) and write the
@@ -177,23 +184,23 @@ int64_t settle_to(workspace *w, const int64_t *sources, int64_t n_sources,
     const double *weights = w->weights;
     double *dist = w->dist;
     int64_t *touched = w->touched;
-    pair *heap = w->heap;
     double *out_dist = w->out_dist;
     int64_t *out_vertex = w->out_vertex;
     int64_t size = 0, count = 0, nt = 0;
+    int failed = 0;
     for (int64_t i = 0; i < n_sources; i++)
         if (sources[i] < 0 || sources[i] >= w->n)
             return -1;
-    for (int64_t i = 0; i < n_sources; i++) {
+    for (int64_t i = 0; i < n_sources && !failed; i++) {
         int64_t s = sources[i];
         if (dist[s] > 0.0) {
             dist[s] = 0.0;
             touched[nt++] = s;
-            push(heap, &size, 0.0, s);
+            failed = push(w, &size, 0.0, s);
         }
     }
-    while (size > 0 && count < limit) {
-        pair top = pop(heap, &size);
+    while (size > 0 && count < limit && !failed) {
+        pair top = pop(w->heap, &size);
         double d = top.d;
         int64_t u = top.v;
         if (d > dist[u])
@@ -204,18 +211,28 @@ int64_t settle_to(workspace *w, const int64_t *sources, int64_t n_sources,
             if (stop && stop[u])
                 break;
         }
-        for (int64_t j = indptr[u]; j < indptr[u + 1]; j++) {
+        for (int64_t j = indptr[u]; j < indptr[u + 1] && !failed; j++) {
             int64_t x = indices[j];
             double nd = d + weights[j];
             if (nd < dist[x]) {
                 if (dist[x] == INFINITY)
                     touched[nt++] = x;
                 dist[x] = nd;
-                push(heap, &size, nd, x);
+                failed = push(w, &size, nd, x);
             }
         }
     }
     for (int64_t i = 0; i < nt; i++)
         dist[touched[i]] = INFINITY;
-    return count;
+    return failed ? -2 : count;
+}
+
+/* Free the buffers the kernel grew; the workspace can search again. */
+void workspace_release(workspace *w)
+{
+    PyMem_RawFree(w->heap);
+    PyMem_RawFree(w->marked);
+    w->heap = NULL;
+    w->marked = NULL;
+    w->heap_cap = w->marked_cap = w->n_marked = 0;
 }

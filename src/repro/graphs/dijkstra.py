@@ -9,8 +9,9 @@ program runs one compiled kernel that is exactly that search
 
 * :func:`settle_below` — the whole ball below a distance budget, from one
   source, with the Lemma 5.5 ``through`` and pass-through rules and the
-  stop value.  It serves the budgeted searches: BSSR's modified Dijkstra,
-  the Algorithm 4 range filter and the ``mapInPandas`` engine of
+  stop value.  It serves the budgeted searches: BSSR's modified Dijkstra
+  (which ``_bssr.c`` calls in C, and Table 7's first scan through this
+  wrapper), the Algorithm 4 range filter and the ``mapInPandas`` engine of
   ``repro.graphs.sssp_spark``.
 * :func:`settle_to` — the target vertices only, in settle order, from any
   number of sources, up to a limit or a stop vertex.  It serves the
@@ -23,15 +24,24 @@ no budget, forwards or on ``Graph.reverse`` — serves brute force and the
 §6 destination leg.
 
 Each graph gets one search workspace on its first search: the CSR bound
-to the kernel, a distance array that is all-``inf`` between calls, the
-heap and the output buffers, as numpy arrays that ``tracemalloc`` sees.  A
-search then allocates nothing but its result and costs what it visits,
-not O(n).  The workspace is freed with its graph and is never pickled with
-it; a lock held around each kernel call keeps two threads out of one
-workspace.  The kernel is a cffi extension module named after a hash of
-its source; the first import builds it with the system C compiler and
-publishes it next to this file in place of any older build, and later
-imports only load it.
+to the kernel, a distance array that is all-``inf`` between calls and the
+output buffers, as numpy arrays, and a heap and marked-record buffer that
+the kernel grows itself (from 1,024 pairs and 256 records, doubling) with
+``PyMem_RawRealloc``, so ``tracemalloc`` sees all of it.  A search then
+allocates nothing but its result, unless a buffer must grow, and costs
+what it visits, not O(n).  The workspace is freed with its graph and is
+never pickled with it; a lock held around each kernel call keeps two
+threads out of one workspace.
+
+The kernel is one cffi extension module compiled from ``_kernel.h`` (its
+types and entry points, which are also the cdef), ``_settle.c`` (the
+searches), ``_skyline.c`` (the skyline frontier of
+:class:`repro.core.dominance.SkylineSet`) and ``_bssr.c`` (BSSR's
+branch-and-bound loop, :func:`repro.core.bssr.bssr`).  It is named after a
+hash of those sources, the flags and the macros; the first import builds
+it with the system C compiler and publishes it next to this file in place
+of any older build, and later imports only load it.  ``ffi`` and ``lib``
+are its handles.
 """
 from __future__ import annotations
 
@@ -51,52 +61,51 @@ from repro.graphs.generator import Graph
 INF = float("inf")
 
 _HERE = Path(__file__).resolve().parent
-_CDEF = """
-typedef struct { double d; int64_t v; } pair;
-typedef struct { double d; int64_t v; double passed; double mark; } marked_t;
-typedef struct {
-    int64_t n;
-    const int64_t *indptr;
-    const int64_t *indices;
-    const double *weights;
-    double *dist;
-    double *carry;
-    int64_t *touched;
-    pair *heap;
-    double *out_dist;
-    int64_t *out_vertex;
-    marked_t *marked;
-    int64_t n_marked;
-    double radius;
-    double weight_sum;
-} workspace;
-int64_t settle_below(workspace *w, int64_t source, double budget,
-                     const uint8_t *through, const double *mark);
-int64_t settle_to(workspace *w, const int64_t *sources, int64_t n_sources,
-                  const uint8_t *target, const uint8_t *stop, int64_t limit);
-"""
+# The kernel's sources: the header, whose declarations are also the cdef,
+# then the C files, compiled in this order as one unit.
+_SOURCES = [_HERE / "_kernel.h", _HERE / "_settle.c", _HERE / "_skyline.c", _HERE / "_bssr.c"]
 # No -ffast-math or -march: every double must be the one Python computes.
 _CFLAGS = ["-O2", "-ffp-contract=off"]
+# The kernel allocates through PyMem_RawMalloc, which the limited API of
+# Python 3.11 does not declare.
+_MACROS = [("_CFFI_NO_LIMITED_API", None)]
+
+
+def _cdef() -> str:
+    """The header without its preprocessor lines: the types and entry points
+    cffi exposes."""
+    lines = _SOURCES[0].read_text().splitlines()
+    return "\n".join(line for line in lines if not line.lstrip().startswith("#"))
 
 
 def _module_name() -> str:
-    source = (_HERE / "_settle.c").read_bytes()
-    digest = hashlib.sha256(source + _CDEF.encode() + " ".join(_CFLAGS).encode()).hexdigest()
-    return f"_settle_{digest[:16]}"
+    """``_settle_`` and a hash of everything the build reads: each source,
+    the cdef, the flags and the macros."""
+    digest = hashlib.sha256()
+    for part in [*(p.read_bytes() for p in _SOURCES), _cdef(), repr(_CFLAGS), repr(_MACROS)]:
+        digest.update(part if isinstance(part, bytes) else part.encode())
+        digest.update(b"\0")
+    return f"_settle_{digest.hexdigest()[:16]}"
 
 
 def _build(name: str, directory: Path) -> None:
     """Compile the kernel as extension module ``repro.graphs.<name>``, move
     it into ``directory`` and delete the older ``_settle_*`` builds there.
     Raises ``ImportError`` when cffi or a working C compiler is missing."""
-    needs = "repro.graphs.dijkstra builds its shortest-path kernel from _settle.c with cffi and a C compiler"
+    needs = "repro.graphs.dijkstra builds its compiled kernel from _settle.c and its siblings with cffi and a C compiler"
     try:
         import cffi
     except ImportError as e:
         raise ImportError(f"{needs}, and cffi is missing: {e}") from e
     ffi = cffi.FFI()
-    ffi.cdef(_CDEF)
-    ffi.set_source(f"repro.graphs.{name}", (_HERE / "_settle.c").read_text(), extra_compile_args=_CFLAGS)
+    ffi.cdef(_cdef())
+    ffi.set_source(
+        f"repro.graphs.{name}",
+        "".join(f'#include "{p.name}"\n' for p in _SOURCES if p.suffix == ".c"),
+        include_dirs=sorted({str(p.parent) for p in _SOURCES}),
+        define_macros=_MACROS,
+        extra_compile_args=_CFLAGS,
+    )
     try:
         with tempfile.TemporaryDirectory() as tmp:
             built = ffi.compile(tmpdir=tmp)
@@ -119,12 +128,12 @@ def _load():
         return importlib.import_module(f"repro.graphs.{name}")
 
 
+# The compiled module's handles; repro.core.dominance and repro.core.bssr
+# call its frontier and branch-and-bound entry points through them too.
 _mod = _load()
-_ffi, _lib = _mod.ffi, _mod.lib
-_NULL = _ffi.NULL
-# The record layouts of the kernel's `pair` (its heap entries) and
-# `marked_t` structs.
-_PAIR = np.dtype([("dist", np.float64), ("vertex", np.int64)])
+ffi, lib = _mod.ffi, _mod.lib
+_NULL = ffi.NULL
+# The record layout of the kernel's `marked_t` struct.
 _MARKED = np.dtype([("dist", np.float64), ("vertex", np.int64), ("passed", np.float64), ("mark", np.float64)])
 _BYTES = frozenset("?Bbc")  # buffer formats of one byte per entry: bool, uint8, int8, bytes
 
@@ -138,33 +147,44 @@ def _checked(per_vertex, n: int, formats: Container[str] = _BYTES):
     return per_vertex
 
 
+def _raise_if_failed(count: int) -> int:
+    if count == -2:
+        raise MemoryError("the shortest-path kernel could not grow its buffers")
+    return count
+
+
 class _Workspace:
     """One graph's search buffers and the kernel's ``workspace`` struct
     that points into them and into the graph's CSR; ``lock`` is held
-    around each kernel call."""
+    around each kernel call.  The heap and the marked records are the
+    kernel's own, grown on demand and freed with the struct."""
 
     def __init__(self, graph: Graph) -> None:
         n = graph.n_vertices
         csr = dict(zip(("indptr", "indices", "weights"), graph.csr()))
-        buffers = {
+        self._buffers = {
             "dist": np.full(n, INF),
             "carry": np.empty(n),
             "touched": np.empty(n, dtype=np.int64),
-            "heap": np.empty(n + len(csr["indices"]), dtype=_PAIR),  # every source, then one push per relaxation
             "out_dist": np.empty(n),
             "out_vertex": np.empty(n, dtype=np.int64),
-            "marked": np.empty(n, dtype=_MARKED),
         }
-        self.nbytes = sum(a.nbytes for a in buffers.values())  # the CSR is the graph's
-        self.out_dist, self.out_vertex, self.marked = buffers["out_dist"], buffers["out_vertex"], buffers["marked"]
-        self.c = c = _ffi.new("workspace *")
+        self.out_dist, self.out_vertex = self._buffers["out_dist"], self._buffers["out_vertex"]
+        self.c = c = ffi.gc(ffi.new("workspace *"), lib.workspace_release)
         c.n = n
         self._views = []  # each from_buffer view keeps its array alive while the struct points into it
-        for name, array in {**csr, **buffers}.items():
-            view = _ffi.from_buffer(array)
+        for name, array in {**csr, **self._buffers}.items():
+            view = ffi.from_buffer(array)
             self._views.append(view)
-            setattr(c, name, _ffi.cast(_ffi.typeof(getattr(c, name)), view))
+            setattr(c, name, ffi.cast(ffi.typeof(getattr(c, name)), view))
         self.lock = threading.Lock()
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes the workspace holds now; the CSR is the graph's."""
+        c = self.c
+        grown = c.heap_cap * ffi.sizeof("pair") + c.marked_cap * ffi.sizeof("marked_t")
+        return sum(a.nbytes for a in self._buffers.values()) + grown
 
 
 def workspace(graph: Graph) -> _Workspace:
@@ -217,18 +237,19 @@ def settle_below(
     n = graph.n_vertices
     if not 0 <= source < n:
         raise IndexError(f"source {source} is outside [0, {n})")
-    fb = _ffi.from_buffer
+    fb = ffi.from_buffer
     through = _NULL if through is None else fb("uint8_t[]", _checked(through, n))
     mark = _NULL if mark is None else fb("double[]", _checked(mark, n, {"d"}))
     ws = workspace(graph)
     with ws.lock:
-        count = _lib.settle_below(ws.c, int(source), budget, through, mark)
+        count = _raise_if_failed(lib.settle_below(ws.c, int(source), budget, through, mark))
         c = ws.c
+        marked = ffi.buffer(c.marked, c.n_marked * _MARKED.itemsize) if c.n_marked else b""
         return Ball(
             ws.out_vertex[:count].copy(),
             ws.out_dist[:count].copy(),
             c.radius,
-            ws.marked[: c.n_marked].tolist(),
+            np.frombuffer(marked, dtype=_MARKED).tolist(),
             c.weight_sum,
         )
 
@@ -249,13 +270,15 @@ def settle_to(
     target whose ``stop`` byte is set (which is then the last one listed).
     """
     n = graph.n_vertices
-    fb = _ffi.from_buffer
+    fb = ffi.from_buffer
     src = np.ascontiguousarray(sources, dtype=np.int64)
     target = fb("uint8_t[]", _checked(target, n))
     stop = _NULL if stop is None else fb("uint8_t[]", _checked(stop, n))
     ws = workspace(graph)
     with ws.lock:
-        count = _lib.settle_to(ws.c, fb("int64_t[]", src), len(src), target, stop, n if limit is None else limit)
+        count = _raise_if_failed(
+            lib.settle_to(ws.c, fb("int64_t[]", src), len(src), target, stop, n if limit is None else limit)
+        )
         if count < 0:
             raise IndexError(f"a source is outside [0, {n})")
         return list(zip(ws.out_dist[:count].tolist(), ws.out_vertex[:count].tolist()))

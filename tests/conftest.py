@@ -6,13 +6,19 @@ fast and reproducible.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
+from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 import pytest
 
+from repro.core.dominance import _EPS
 from repro.graphs.categories import depth2_forest, foursquare_lite_forest
 from repro.graphs.generator import dataset, road_network
+
+INF = float("inf")
 
 
 @pytest.fixture(scope="session")
@@ -188,3 +194,57 @@ def floyd_warshall_reference(graph) -> np.ndarray:
     for k in range(n):
         d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
     return d
+
+
+@dataclass
+class ReferenceSkylineSet:
+    """Running minimal set ``S`` with Eq. (3) threshold queries, in Python:
+    the tests' reference for ``repro.core.dominance.SkylineSet``, whose
+    frontier is the compiled kernel's.
+
+    Invariant: ``entries`` is sorted by semantic score ascending with length
+    strictly decreasing — a proper 2-D skyline frontier.
+    """
+
+    entries: list[tuple[float, float, Any]] = field(default_factory=list)  # (s, l, payload)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def routes(self) -> list[tuple[float, float, Any]]:
+        """Contents as ``(l, s, payload)`` rows."""
+        return [(l, s, p) for (s, l, p) in self.entries]
+
+    def update(self, l: float, s: float, payload: Any) -> bool:
+        """``S.update(R)`` — insert unless dominated/equivalent; evict any
+        entries the newcomer dominates.  Returns True when inserted.  An
+        infinite ``l`` is no route (its §6 destination leg is unreachable)
+        and is never inserted."""
+        if l == INF:
+            return False
+        i = bisect.bisect_right(self.entries, (s + _EPS, INF, None))
+        # Frontier lengths decrease with s, so the tightest competitor with
+        # s' <= s is the one just before the insertion point.
+        if i > 0 and self.entries[i - 1][1] <= l + _EPS:
+            return False  # dominated or equivalent
+        start = i
+        # An equal-s entry sits just before i; if it survived the check above
+        # its length is larger, so the newcomer dominates it (Def. 4.1-i).
+        while start > 0 and self.entries[start - 1][0] >= s - _EPS and self.entries[start - 1][1] >= l - _EPS:
+            start -= 1
+        j = i
+        while j < len(self.entries) and self.entries[j][1] >= l - _EPS:
+            j += 1  # these have s' >= s and l' >= l: dominated by newcomer
+        self.entries[start:j] = [(s, l, payload)]
+        return True
+
+    def threshold(self, min_semantic: float) -> float:
+        """Eq. (3): min ``l(R')`` over ``R' in S`` with ``s(R') <= s_(R)``.
+
+        A route whose length reaches this value is dominated-or-equivalent
+        however it is completed (Lemma 5.3), so it can be pruned.
+        """
+        i = bisect.bisect_right(self.entries, (min_semantic + _EPS, INF, None))
+        if i == 0:
+            return INF
+        return self.entries[i - 1][1]

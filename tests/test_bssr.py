@@ -353,6 +353,131 @@ _PINNED_CAL = {
 }
 
 
+# The answers to the same queries, as BSSRResult.routes rows (l, s, PoIs),
+# recorded from the Python branch-and-bound loop before it was compiled.
+# Which route stands for a score pair may differ between the option sets
+# (tiny_cal's fifth query).
+_PINNED_ROUTES = {
+    "default": {
+        (92, (248, 111, 213)): [
+            (1.9491615737629742, 0.0, (203, 163, 224)),
+            (1.8526077078028513, 0.33333333333333337, (161, 177, 197)),
+            (1.0980579583468468, 0.6666666666666667, (203, 173, 227)),
+            (1.0413680479978276, 0.7777777777777778, (203, 173, 197)),
+        ],
+        (35, (172, 213, 111)): [
+            (1.7819111287498386, 0.0, (184, 224, 163)),
+            (1.6479318799287306, 0.5555555555555556, (180, 197, 177)),
+            (0.3171015922871567, 0.6666666666666667, (216, 224, 163)),
+        ],
+        (45, (111, 213, 172)): [
+            (1.5212336852581263, 0.0, (163, 224, 184)),
+            (1.4814851115982406, 0.33333333333333337, (163, 222, 180)),
+            (1.317668449165626, 0.5555555555555556, (163, 197, 180)),
+            (0.6339010274624777, 0.6666666666666667, (163, 224, 216)),
+            (0.4718008752428145, 0.8518518518518519, (221, 197, 180)),
+        ],
+        (143, (111, 172, 18, 248)): [
+            (2.2005890924111076, 0.0, (177, 184, 196, 203)),
+            (2.1216269679916313, 0.33333333333333337, (177, 184, 218, 161)),
+            (1.3612406826593104, 0.6666666666666667, (173, 160, 179, 166)),
+            (1.2811312402930373, 0.7777777777777778, (226, 180, 196, 203)),
+            (1.2566999565047527, 0.8888888888888888, (226, 167, 196, 203)),
+        ],
+        (7, (213, 212)): [
+            (0.52171381298757, 0.0, (224, 193)),
+            (0.518265726538557, 0.6666666666666667, (228, 193)),
+            (0.43665775284997643, 0.7777777777777778, (193, 228)),
+        ],
+    },
+    "none": {
+        (92, (248, 111, 213)): [
+            (1.9491615737629742, 0.0, (203, 163, 224)),
+            (1.8526077078028513, 0.33333333333333337, (161, 177, 197)),
+            (1.0980579583468468, 0.6666666666666667, (203, 173, 227)),
+            (1.0413680479978276, 0.7777777777777778, (203, 173, 197)),
+        ],
+        (35, (172, 213, 111)): [
+            (1.7819111287498386, 0.0, (184, 224, 163)),
+            (1.6479318799287306, 0.5555555555555556, (180, 197, 177)),
+            (0.3171015922871567, 0.6666666666666667, (216, 224, 163)),
+        ],
+        (45, (111, 213, 172)): [
+            (1.5212336852581263, 0.0, (163, 224, 184)),
+            (1.4814851115982406, 0.33333333333333337, (163, 222, 180)),
+            (1.317668449165626, 0.5555555555555556, (163, 197, 180)),
+            (0.6339010274624777, 0.6666666666666667, (163, 224, 216)),
+            (0.4718008752428145, 0.8518518518518519, (221, 197, 180)),
+        ],
+        (143, (111, 172, 18, 248)): [
+            (2.2005890924111076, 0.0, (177, 184, 196, 203)),
+            (2.1216269679916313, 0.33333333333333337, (177, 184, 218, 161)),
+            (1.3612406826593104, 0.6666666666666667, (173, 160, 179, 166)),
+            (1.2811312402930373, 0.7777777777777778, (226, 180, 196, 203)),
+            (1.2566999565047527, 0.8888888888888888, (226, 167, 196, 203)),
+        ],
+        (7, (213, 212)): [
+            (0.52171381298757, 0.0, (224, 193)),
+            (0.518265726538557, 0.6666666666666667, (228, 193)),
+            (0.43665775284997643, 0.7777777777777778, (193, 228)),
+        ],
+    },
+}
+_PINNED_CAL_ROUTES = {
+    "default": {
+        (13, (511, 164, 336)): [
+            (2.250306359558979, 0.0, (69, 110, 119)),
+            (1.4473722455539761, 0.33333333333333337, (121, 188, 111)),
+            (1.4215507399293337, 0.6666666666666667, (121, 188, 51)),
+        ],
+        (16, (252, 36, 20)): [
+            (1.085122486223218, 0.0, (66, 46, 130)),
+        ],
+        (13, (252, 336, 154)): [
+            (2.182512426605798, 0.0, (66, 65, 202)),
+        ],
+        (15, (434, 154, 20)): [
+            (0.6496069887933928, 0.0, (50, 81, 98)),
+        ],
+        (14, (511, 164, 511)): [
+            (0.2071186207119875, 0.0, (69, 110, 182)),
+            (0.2069274588956263, 0.7777777777777778, (213, 201, 69)),
+            (0.20685493600219712, 0.8518518518518519, (149, 47, 213)),
+        ],
+        (15, (336, 164)): [
+            (0.6496069958292636, 0.0, (65, 110)),
+            (0.6455453633309087, 0.33333333333333337, (65, 47)),
+            (0.5818213338379358, 0.6666666666666667, (65, 154)),
+        ],
+    },
+    "none": {
+        (13, (511, 164, 336)): [
+            (2.250306359558979, 0.0, (69, 110, 119)),
+            (1.4473722455539761, 0.33333333333333337, (121, 188, 111)),
+            (1.4215507399293337, 0.6666666666666667, (121, 188, 51)),
+        ],
+        (16, (252, 36, 20)): [
+            (1.085122486223218, 0.0, (66, 46, 130)),
+        ],
+        (13, (252, 336, 154)): [
+            (2.182512426605798, 0.0, (66, 65, 202)),
+        ],
+        (15, (434, 154, 20)): [
+            (0.6496069887933928, 0.0, (50, 81, 98)),
+        ],
+        (14, (511, 164, 511)): [
+            (0.2071186207119875, 0.0, (69, 110, 182)),
+            (0.2069274588956264, 0.7777777777777778, (149, 47, 69)),
+            (0.20685493600219712, 0.8518518518518519, (149, 47, 213)),
+        ],
+        (15, (336, 164)): [
+            (0.6496069958292636, 0.0, (65, 110)),
+            (0.6455453633309087, 0.33333333333333337, (65, 47)),
+            (0.5818213338379358, 0.6666666666666667, (65, 154)),
+        ],
+    },
+}
+
 class TestPinnedCounters:
     @pytest.mark.parametrize("opts", ["default", "none"])
     def test_counters_exactly_unchanged(self, tiny_tokyo, opts):
@@ -367,6 +492,13 @@ class TestPinnedCounters:
         for (v_q, cats), want in _PINNED_CAL[opts].items():
             st = bssr(tiny_cal.graph, tiny_cal.forest, v_q, list(cats), options=options).stats
             assert tuple(getattr(st, f) for f in _PIN_FIELDS) == want, (v_q, cats)
+
+    @pytest.mark.parametrize("opts", ["default", "none"])
+    def test_routes_exactly_unchanged(self, tiny_tokyo, tiny_cal, opts):
+        options = BSSROptions() if opts == "default" else BSSROptions.none()
+        for ds, pinned in ((tiny_tokyo, _PINNED_ROUTES), (tiny_cal, _PINNED_CAL_ROUTES)):
+            for (v_q, cats), want in pinned[opts].items():
+                assert bssr(ds.graph, ds.forest, v_q, list(cats), options=options).routes == want, (v_q, cats)
 
 
 class TestDegenerateQueries:

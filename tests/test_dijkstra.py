@@ -405,6 +405,29 @@ class TestWorkspace:
         leaves = list(range(1, n))
         assert list(settle_to(g, leaves, set(range(n)))) == _filtered_settle(g, leaves, set(range(n)))
 
+    def test_growth_past_the_initial_capacities(self):
+        """The kernel starts its heap at 1,024 pairs and its marked records
+        at 256, and doubles them when full: a star whose 2,500 leaves are
+        all marked overflows both in one search from the centre, and
+        ``settle_to`` from every leaf seeds more pairs than the heap held.
+        Every result equals the settle-order reference."""
+        rng = np.random.default_rng(11)
+        n = 2501
+        edges = [(0, i, float(w)) for i, w in zip(range(1, n), rng.integers(1, 4, n - 1))]
+        g = graph_from_edges(n, edges, {})
+        marks = {v: float(m) for v, m in zip(range(1, n), rng.choice([0.5, 1.0], n - 1))}
+        perfect = bytes(marks.get(v) != 1.0 for v in range(n))
+        ws = dijkstra_mod.workspace(g)
+        assert (ws.c.heap_cap, ws.c.marked_cap) == (0, 0)
+        for through in (None, perfect):
+            want = _scan_reference(g, 0, INF, through, marks)
+            assert settle_below(g, 0, INF, through=through, marks=marks) == want
+        assert ws.c.heap_cap == 4096 and ws.c.marked_cap == 4096
+        leaves = set(range(1, n))
+        assert list(settle_to(g, [0], leaves)) == _filtered_settle(g, [0], leaves)
+        assert list(settle_to(g, sorted(leaves), {0})) == _filtered_settle(g, sorted(leaves), {0})
+        assert ws.nbytes == 5 * 8 * n + 4096 * (16 + 32)
+
     def test_threads_share_a_graph_safely(self, graphs):
         """Searches from several threads on one graph give the results of
         the same searches run one after another."""
@@ -461,6 +484,27 @@ class TestKernelBuild:
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
         assert hasattr(mod.lib, "settle_below") and hasattr(mod.lib, "settle_to")
+
+    def test_module_name_hashes_every_input(self, tmp_path, monkeypatch):
+        """Editing any source compiled into the kernel, its cdef (the
+        header) or its flags gives the module another name, so a stale
+        build is never loaded."""
+        sources = []
+        for src in dijkstra_mod._SOURCES:
+            copy = tmp_path / src.name
+            copy.write_bytes(src.read_bytes())
+            sources.append(copy)
+        monkeypatch.setattr(dijkstra_mod, "_SOURCES", sources)
+        assert [p.suffix for p in sources] == [".h", ".c", ".c", ".c"]
+        names = {dijkstra_mod._module_name()}
+        for src in sources:
+            text = src.read_text()
+            src.write_text(text + "/* edited */\n")
+            names.add(dijkstra_mod._module_name())
+            src.write_text(text)
+        monkeypatch.setattr(dijkstra_mod, "_CFLAGS", [*dijkstra_mod._CFLAGS, "-g"])
+        names.add(dijkstra_mod._module_name())
+        assert len(names) == len(sources) + 2
 
     def test_source_and_vertex_arrays_are_checked(self, graphs):
         """A source outside the graph or a per-vertex array of the wrong

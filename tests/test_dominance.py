@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dominance import _EPS, SkylineSet, dominates, skyline
+from tests.conftest import ReferenceSkylineSet
 
 INF = float("inf")
 
@@ -168,6 +169,32 @@ class TestSkylineSet:
         ls = [l for (_s, l, _p) in S.entries]
         assert ss == sorted(ss)
         assert ls == sorted(ls, reverse=True)
+
+
+# Scores from a few values, each also nudged by one or two _EPS, so that
+# exact ties, ties within the tolerance and near-misses just outside it all
+# occur often; plus any float, and an unreachable length.
+def _nudged(*values: float) -> st.SearchStrategy[float]:
+    return st.sampled_from([v + k * _EPS for v in values for k in (-2, -1, 0, 1, 2) if v + k * _EPS >= 0])
+
+
+_LENGTH = st.one_of(_nudged(0.0, 1.0, 2.0, 3.0), st.just(INF), st.floats(0.0, 10.0))
+_SEMANTIC = st.one_of(_nudged(0.0, 0.25, 0.5, 1.0), st.floats(0.0, 1.0))
+
+
+class TestAgainstReference:
+    """The compiled frontier against the Python one it replaced."""
+
+    @given(st.lists(st.tuples(_LENGTH, _SEMANTIC), max_size=80), st.lists(_SEMANTIC, max_size=6))
+    @settings(max_examples=400, deadline=None)
+    def test_same_entries_and_thresholds_after_every_update(self, stream, probes):
+        S, ref = SkylineSet(), ReferenceSkylineSet()
+        for i, (l, s) in enumerate(stream):
+            assert S.update(l, s, i) == ref.update(l, s, i), (l, s)
+            assert S.entries == ref.entries
+            assert len(S) == len(ref)
+            for x in [*probes, s, s - _EPS, s + _EPS, *(e[0] for e in ref.entries)]:
+                assert S.threshold(x) == ref.threshold(x), x
 
 
 class TestDuckDBSkylineOracle:
