@@ -331,8 +331,7 @@ static int collect(run_t *r)
  * or -2 when out of memory (S then holds what the run had inserted). */
 int64_t bssr_run(workspace *w, skyline *S, bssr_query *q)
 {
-    run_t r = {w, S, q};
-    r.id0 = S->next_id;
+    run_t r = {.w = w, .S = S, .q = q, .id0 = S->next_id};
     int64_t rc = expand(&r, -1, 0, 0.0, 1.0, skyline_threshold(S, 0.0));
     while (rc == 0 && r.n_queue > 0) {
         qentry top = q_pop(&r);
