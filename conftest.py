@@ -56,8 +56,8 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch); the per-session configs (shuffle partitions, Arrow,
-    broadcast joins off) come from the jobs' own factory,
+    pre-JVM-launch); the per-session configs (shuffle partitions and
+    Arrow) come from the jobs' own factory,
     ``repro.tables.session.get_spark``, so tests and jobs plan alike.
     """
     from repro.tables.session import get_spark

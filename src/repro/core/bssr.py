@@ -41,8 +41,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.bounds import MinDistBounds
 from repro.core.dominance import SkylineSet, score_key
 from repro.core.nninit import nninit, nninit_ratio
@@ -105,12 +103,11 @@ def bssr(
     t0 = time.perf_counter()
     stats = BSSRStats()
     S, ls, lp = _seed(ctx, opt, stats)
-    through = _through(ctx)
     q = ffi.new("bssr_query *")
     q.k, q.v_q = ctx.k, ctx.v_q
     keep = [
         ffi.from_buffer("double[]", ctx.sim),
-        ffi.NULL if through is None else ffi.from_buffer("uint8_t[]", through),
+        ffi.NULL if ctx.through is None else ffi.from_buffer("uint8_t[]", ctx.through),
         *(ffi.new("double[]", row) for row in (ls, lp, ctx.nonperfect_suffix)),
         ffi.NULL if ctx.dest_dist is None else ffi.from_buffer("double[]", ctx.dest_dist),
     ]
@@ -172,8 +169,7 @@ def bssr_first_scan(
     S, ls, _lp = _seed(ctx, BSSROptions(use_nninit=use_nninit), stats)
     budget = S.threshold(0.0) - 0.0 - ls[1]
     if budget > 0.0:
-        through = _through(ctx)
-        through = None if through is None else through[0]
+        through = None if ctx.through is None else ctx.through[0]
         ball = settle_below(graph, ctx.v_q, budget, through=through, mark=ctx.sim[0])
         stats.mdijkstra_requests = stats.mdijkstra_runs = 1
         stats.visited_vertices = len(ball.order)
@@ -200,10 +196,3 @@ def _seed(ctx: QueryContext, opt: BSSROptions, stats: BSSRStats) -> tuple[Skylin
         ls, lp = bounds.ls_suffix, bounds.lp_suffix
     return S, ls, lp
 
-
-def _through(ctx: QueryContext) -> np.ndarray | None:
-    """Per position, the vertices a modified Dijkstra may walk past: all
-    but the perfect matches (Lemma 5.5-ii; given ``through``, the kernel
-    applies Lemma 5.5-i too and records only the matches it may return).
-    ``None`` when the match sets overlap, which turns Lemma 5.5 off."""
-    return ctx.sim != 1.0 if ctx.trees_distinct else None

@@ -11,7 +11,8 @@ that table: the matches are ``sim[i] > 0``, the perfect matches
 ``sim[i] == 1.0``, and BSSR's modified Dijkstra reads ``sim[i]`` itself as
 its marks.  BSSR, NNinit, the bounds, the Spark pipeline, brute force, the
 naive baselines' scoring and route scoring therefore agree on what matches
-and how well.
+and how well.  The Lemma 5.5 mask ``through`` is defined here once too, so
+BSSR's scans and the Spark pipeline's apply the same rule.
 
 The §6 destination leg is computed here once: ``dest_dist`` holds every
 vertex's distance *to* the destination, from one reverse search, or is
@@ -71,6 +72,7 @@ class QueryContext:
     max_nonperfect: list[float] = field(init=False)  # footnote 2's delta per position
     nonperfect_suffix: list[float] = field(init=False)  # [pos]: max of max_nonperfect[pos:], 0 at k
     trees_distinct: bool = field(init=False)
+    through: np.ndarray | None = field(init=False)  # (k, n_vertices): the vertices a scan may walk past
     dest_dist: np.ndarray | None = field(init=False)  # per vertex: distance to the destination
 
     def __post_init__(self) -> None:
@@ -97,6 +99,12 @@ class QueryContext:
         # no column of ``sim`` has two nonzero entries.  Distinct trees (the
         # paper's workload constraint) imply it for single-category PoIs.
         self.trees_distinct = pairwise_disjoint([np.flatnonzero(hit) for hit in self.sim > 0])
+        # Per position, the vertices a modified Dijkstra may walk past: all
+        # but the perfect matches (Lemma 5.5-ii; given ``through``, the
+        # kernel applies Lemma 5.5-i too and records only the matches it may
+        # return).  ``None`` when the match sets overlap, which turns
+        # Lemma 5.5 off in BSSR's scans and the Spark pipeline's alike.
+        self.through = self.sim != 1.0 if self.trees_distinct else None
         # §6 destination leg: one search from the destination on the
         # reversed graph, which is the graph itself when undirected.
         self.dest_dist = (

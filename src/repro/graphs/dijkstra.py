@@ -11,8 +11,8 @@ program runs one compiled kernel that is exactly that search
   source, with the Lemma 5.5 ``through`` and pass-through rules and the
   stop value.  It serves the budgeted searches: BSSR's modified Dijkstra
   (which ``_bssr.c`` calls in C, and Table 7's first scan through this
-  wrapper), the Algorithm 4 range filter and the ``mapInPandas`` engine of
-  ``repro.graphs.sssp_spark``.
+  wrapper), the Algorithm 4 range filter and the per-endpoint scans of the
+  Spark pipeline's levels (``repro.core.skysr_spark.extend``).
 * :func:`settle_to` — the target vertices only, in settle order, from any
   number of sources, up to a limit or a stop vertex.  It serves the
   searches that want the next *matching* PoIs: NNinit's per-position

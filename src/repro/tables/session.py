@@ -2,8 +2,8 @@
 suite's ``spark`` fixture (root ``conftest.py``), so job runs and test runs
 exercise the same planner behaviour.  Driver memory is read at JVM launch,
 so it comes from the launch command (``spark-submit``, or
-``PYSPARK_SUBMIT_ARGS`` in the tests).  Broadcast joins are off so the
-pipeline's joins take the shuffle path at test scale too.
+``PYSPARK_SUBMIT_ARGS`` in the tests).  The session fixes the shuffle
+partitions at 64 and turns Arrow on for ``mapInPandas``.
 """
 from __future__ import annotations
 
@@ -16,9 +16,8 @@ def get_spark(app_name: str) -> SparkSession:
     s = (
         SparkSession.builder.appName(app_name)
         .master(os.environ.get("SPARK_MASTER", "local[*]"))
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
+        .config("spark.sql.shuffle.partitions", 64)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.enabled", "false")
         .getOrCreate()
     )

@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 import pytest
 
-from repro.core.dominance import _EPS
+from repro.core.dominance import _EPS, score_key
 from repro.graphs.categories import depth2_forest, foursquare_lite_forest
 from repro.graphs.generator import dataset, road_network
 
@@ -87,6 +87,12 @@ def matches(ctx, pos: int) -> list[int]:
 def perfect_matches(ctx, pos: int) -> list[int]:
     """The perfect matches (``sim == 1``) of position ``pos``, in vertex order."""
     return np.flatnonzero(ctx.sim[pos] == 1.0).tolist()
+
+
+def skysr_spark_scores(df) -> set[tuple[float, float]]:
+    """The ``(length, semantic)`` score pairs of a ``skysr_spark`` answer,
+    collected and rounded like ``BSSRResult.score_set``."""
+    return {score_key(r["length"], r["semantic"]) for r in df.collect()}
 
 
 def lca(forest, c1: int, c2: int) -> int:

@@ -203,7 +203,7 @@ class TestDuckDBSkylineOracle:
         (checked through the repo oracle)."""
         import pandas as pd
 
-        from repro.oracle import assert_equivalent
+        from tests.oracle import assert_equivalent
 
         rng = np.random.default_rng(7)
         pdf = pd.DataFrame(

@@ -82,7 +82,9 @@ class TestGates:
         g, f = world
         rng = np.random.default_rng(4)
         v_q, cats = random_query(g, f, rng, 3)
-        assert QueryContext(g, f, v_q, cats).trees_distinct
+        ctx = QueryContext(g, f, v_q, cats)
+        assert ctx.trees_distinct
+        assert np.array_equal(ctx.through, ctx.sim != 1.0)
 
     def test_repeated_tree_gate_off(self, world):
         g, f = world
@@ -91,6 +93,7 @@ class TestGates:
             pytest.skip("need two populated leaves in one tree")
         ctx = QueryContext(g, f, 0, [leaves0[0], leaves0[1]])
         assert not ctx.trees_distinct
+        assert ctx.through is None
 
 
 class TestNonperfectBounds:

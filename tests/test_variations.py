@@ -75,17 +75,18 @@ class TestDirectedGraphs:
         assert ref[0, 2] == 2.0 and ref[2, 0] == 1.0
 
     def test_spark_engines_on_directed(self, spark):
-        from repro.graphs.sssp_spark import partitioned_dijkstra
+        """The Spark pipeline equals brute force on a directed graph, with
+        and without a destination."""
+        from repro.core.skysr_spark import skysr_spark
+        from tests.conftest import random_query, skysr_spark_scores
 
-        g = graph_from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)], {}, directed=True)
-        ref = dijkstra(g, 0)
-        sources = spark.createDataFrame([(0, float("inf"))], "source LONG, cutoff DOUBLE")
-        got_p = {
-            int(r["vertex"]): float(r["dist"])
-            for r in partitioned_dijkstra(g, sources, np.ones(g.n_vertices)).collect()
-        }
-        for v in range(4):
-            assert got_p[v] == pytest.approx(ref[v])
+        g, f, rng = _directed_world(0)
+        v_q, cats = random_query(g, f, rng, 2)
+        for dest in (None, int(rng.integers(0, g.n_road))):
+            want = score_set(brute_force_skysr(g, f, v_q, cats, destination=dest))
+            assert want
+            got = skysr_spark_scores(skysr_spark(spark, g, f, v_q, cats, destination=dest))
+            assert got == want, dest
 
 
 class TestMultiCategoryPoIs:
@@ -180,7 +181,8 @@ class TestMultiCategoryPoIs:
         assert route_scores(g, f, 0, cats, (3, 1)) == pytest.approx((5.0, 1 / 3))
 
     def test_spark_matches_brute_with_extra_cats(self, spark, partial_world):
-        from repro.core.skysr_spark import skysr_spark, skysr_spark_scores
+        from repro.core.skysr_spark import skysr_spark
+        from tests.conftest import skysr_spark_scores
 
         g, f, cats = partial_world
         want = score_set(brute_force_skysr(g, f, 0, cats))
