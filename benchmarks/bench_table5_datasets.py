@@ -1,7 +1,6 @@
-"""Table 5 benchmark: dataset generation and Spark ingest throughput."""
+"""Table 5 benchmark: dataset generation."""
 import pytest
 
-from repro.core.skysr_spark import dataset_tables
 from repro.graphs.generator import dataset
 
 
@@ -11,14 +10,3 @@ def test_generate_dataset(benchmark, name):
     benchmark.extra_info["V"] = ds.graph.n_road
     benchmark.extra_info["P"] = ds.graph.n_pois
     benchmark.extra_info["E"] = ds.graph.n_edges
-
-
-def test_spark_ingest(benchmark, spark):
-    ds = dataset("tokyo-lite", scale=0.25)
-
-    def ingest():
-        t = dataset_tables(spark, ds)
-        return t["edges"].count() + t["pois"].count()
-
-    n = benchmark.pedantic(ingest, rounds=3, iterations=1)
-    benchmark.extra_info["rows"] = n

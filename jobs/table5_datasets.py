@@ -1,20 +1,16 @@
-"""Job: reproduce Table 5 (dataset summary) — `spark-submit jobs/table5_datasets.py`.
+"""Job: reproduce Table 5 (dataset summary) — `python jobs/table5_datasets.py`.
 
-Generates the three lite presets, registers them as Spark DataFrames, and
-prints paper-vs-ours |V|/|P|/|E| (counts taken through the Spark ingest
-path so the relational view is exercised end-to-end).
+Generates the three lite presets and prints paper-vs-ours |V|/|P|/|E|,
+counted from the generated graphs.
 """
 from repro.tables.common import fmt_table
-from repro.tables.session import get_spark
 from repro.tables import table5
 
 
 def main() -> None:
-    spark = get_spark("table5")
-    rows = table5.rows(spark)
+    rows = table5.rows()
     print("\n== Table 5: dataset summary (paper vs generated, /100 scale; Cal /10) ==")
     print(fmt_table(rows, table5.COLUMNS))
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Job: reproduce Table 6 (peak memory, |S_q|=4) — `spark-submit jobs/table6_rss.py`.
+"""Job: reproduce Table 6 (peak memory, |S_q|=4) — `python jobs/table6_rss.py`.
 
 Local algorithms (the paper's are single-process C++); Spark is not needed
 for the measurement itself.  REPRO_SCALE / REPRO_QUERIES control cost.

@@ -46,7 +46,7 @@ from repro.core.dominance import SkylineSet, score_key
 from repro.core.nninit import nninit, nninit_ratio
 from repro.core.query import QueryContext
 from repro.graphs.categories import CategoryForest
-from repro.graphs.dijkstra import ffi, lib, settle_below, workspace
+from repro.graphs.dijkstra import ffi, lib, workspace
 from repro.graphs.generator import Graph
 
 
@@ -102,7 +102,20 @@ def bssr(
     ctx = QueryContext(graph, forest, v_q, list(seq_cats), destination)
     t0 = time.perf_counter()
     stats = BSSRStats()
-    S, ls, lp = _seed(ctx, opt, stats)
+    # Before the first scan: NNinit's initial skyline (§5.3.1) and the
+    # possible-minimum distances it bounds (§5.3.3), as enabled; per route
+    # size, l_s and l_p bound the length of the legs still ahead (Lemma 5.8).
+    S = SkylineSet()
+    if opt.use_nninit:
+        tn = time.perf_counter()
+        S = nninit(ctx)
+        stats.nninit_time_ms = (time.perf_counter() - tn) * 1e3
+        stats.nninit_routes = len(S)
+        stats.nninit_ratio = nninit_ratio(S)
+    ls = lp = [0.0] * (ctx.k + 1)
+    if opt.use_min_dist:
+        bounds = MinDistBounds.compute(ctx, S.threshold(0.0))
+        ls, lp = bounds.ls_suffix, bounds.lp_suffix
     q = ffi.new("bssr_query *")
     q.k, q.v_q = ctx.k, ctx.v_q
     keep = [
@@ -145,54 +158,3 @@ _COUNTERS = (
     "first_weight_sum",
     "first_radius",
 )
-
-
-def bssr_first_scan(
-    graph: Graph,
-    forest: CategoryForest,
-    v_q: int,
-    seq_cats: list[int],
-    *,
-    use_nninit: bool = True,
-) -> BSSRStats:
-    """Run only :func:`bssr`'s seeding (NNinit optionally, then the bounds)
-    and the *first* modified Dijkstra, the empty route's scan.
-
-    Table 7 measures the first search's scanned edge-weight sum with and
-    without the initial search; the full run's first scan is identical by
-    construction, so this avoids paying for the rest of the search when
-    only that metric is needed.  The returned counters are the seeding's
-    and that one scan's.
-    """
-    ctx = QueryContext(graph, forest, v_q, list(seq_cats))
-    stats = BSSRStats()
-    S, ls, _lp = _seed(ctx, BSSROptions(use_nninit=use_nninit), stats)
-    budget = S.threshold(0.0) - 0.0 - ls[1]
-    if budget > 0.0:
-        through = None if ctx.through is None else ctx.through[0]
-        ball = settle_below(graph, ctx.v_q, budget, through=through, mark=ctx.sim[0])
-        stats.mdijkstra_requests = stats.mdijkstra_runs = 1
-        stats.visited_vertices = len(ball.order)
-        stats.first_weight_sum = ball.weight_sum
-        stats.first_radius = float(ball.dist[-1]) if len(ball.dist) else 0.0
-    return stats
-
-
-def _seed(ctx: QueryContext, opt: BSSROptions, stats: BSSRStats) -> tuple[SkylineSet, list[float], list[float]]:
-    """Before the first scan: NNinit's initial skyline (§5.3.1) and the
-    possible-minimum distances it bounds (§5.3.3), as enabled.  Returns
-    ``S`` and, per route size, the Lemma 5.8 length bounds l_s and l_p of
-    the legs still ahead (0 without them)."""
-    S = SkylineSet()
-    if opt.use_nninit:
-        tn = time.perf_counter()
-        S = nninit(ctx)
-        stats.nninit_time_ms = (time.perf_counter() - tn) * 1e3
-        stats.nninit_routes = len(S)
-        stats.nninit_ratio = nninit_ratio(S)
-    ls = lp = [0.0] * (ctx.k + 1)
-    if opt.use_min_dist:
-        bounds = MinDistBounds.compute(ctx, S.threshold(0.0))
-        ls, lp = bounds.ls_suffix, bounds.lp_suffix
-    return S, ls, lp
-

@@ -63,10 +63,10 @@ def skyline(items: list[tuple[float, float, Any]]) -> list[tuple[float, float, A
 class SkylineSet:
     """Running minimal set ``S`` with Eq. (3) threshold queries.
 
-    Invariant: ``entries`` is sorted by semantic score ascending with length
-    strictly decreasing — a proper 2-D skyline frontier.  The scores live in
-    :attr:`frontier`; each payload stays here under the id the kernel gave
-    its entry.
+    Invariant: the frontier is sorted by semantic score ascending with
+    length strictly decreasing — a proper 2-D skyline frontier.  The scores
+    live in :attr:`frontier`; each payload stays here under the id the
+    kernel gave its entry.
     """
 
     def __init__(self) -> None:
@@ -84,11 +84,6 @@ class SkylineSet:
         if not f.n:
             return []
         return np.frombuffer(ffi.buffer(f.e, f.n * _ENTRY.itemsize), dtype=_ENTRY).tolist()
-
-    @property
-    def entries(self) -> list[tuple[float, float, Any]]:
-        """The frontier as ``(s, l, payload)`` rows."""
-        return [(s, l, self._payloads[i]) for (s, l, i) in self._rows()]
 
     def routes(self) -> list[tuple[float, float, Any]]:
         """Contents as ``(l, s, payload)`` rows."""

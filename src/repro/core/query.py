@@ -118,9 +118,3 @@ class QueryContext:
     def sim_at(self, pos: int, vertex: int) -> float:
         """Similarity of ``vertex``'s category to ``S_q[pos]`` (0 = no match)."""
         return float(self.sim[pos, vertex])
-
-    def max_nonperfect_suffix(self, pos: int) -> float:
-        """Largest non-perfect similarity over positions ``pos..k-1`` — the
-        best factor a completion can salvage if it cannot be all-perfect
-        (the delta of Lemma 5.8, footnote 2, in product form)."""
-        return self.nonperfect_suffix[pos]

@@ -57,26 +57,9 @@ from repro.core.nninit import nninit
 from repro.core.query import QueryContext
 from repro.graphs.categories import CategoryForest
 from repro.graphs.dijkstra import settle_below
-from repro.graphs.generator import Dataset, Graph
+from repro.graphs.generator import Graph
 
 _FRONTIER = "route ARRAY<LONG>, end LONG, length DOUBLE, prod DOUBLE"
-
-
-# ------------------------------------------------------------- table views
-def dataset_tables(spark: SparkSession, ds: Dataset) -> dict[str, DataFrame]:
-    """Relational view of a dataset: ``edges (src, dst, w)``, one row per
-    edge, and ``pois (poi_id, cat_id)``."""
-    g = ds.graph
-    ids = g.poi_ids
-    edges = pd.DataFrame(
-        {
-            "src": g.edges_u.astype(np.int64),
-            "dst": g.edges_v.astype(np.int64),
-            "w": g.edges_w.astype(np.float64),
-        }
-    )
-    pois = pd.DataFrame({"poi_id": ids.astype(np.int64), "cat_id": g.cat_of[ids].astype(np.int64)})
-    return {"edges": spark.createDataFrame(edges), "pois": spark.createDataFrame(pois)}
 
 
 # ------------------------------------------------------------------- level

@@ -188,8 +188,9 @@ static int64_t scan(run_t *r, int64_t p_d, int64_t pos, double budget)
     return count;
 }
 
-/* Lemma 5.3 (with the l_s tightening) and Lemma 5.8 for a popped route
- * whose Eq. 3 threshold is `t_min`; expand applies both to each candidate. */
+/* Lemma 5.3 (with the l_s tightening) and Lemma 5.8 for a route of `size`
+ * PoIs whose Eq. 3 threshold is `t_min`: a popped route, and each partial
+ * candidate of expand. */
 static int prunable(const run_t *r, int64_t size, double length, double prod, double t_min)
 {
     const bssr_query *q = r->q;
@@ -270,19 +271,14 @@ static int expand(run_t *r, int64_t route, int64_t pos, double length, double pr
         }
         return 0;
     }
-    double ls = q->ls[size], lp = q->lp[size], delta = q->delta[size];
     for (int64_t i = 0; i < n_rec && rec[i].d < budget; i++) {
         int64_t u = rec[i].v;
         if (on_route(r, route, u))
             continue;
         double new_len = length + rec[i].d;
         double new_prod = prod * rec[i].mark;
-        double t = skyline_threshold(S, 1.0 - new_prod);
-        if (new_len + ls >= t)
-            continue; /* Lemma 5.3 */
-        if (q->use_min_dist && skyline_threshold(S, 1.0 - new_prod * delta) <= new_len
-            && t <= new_len + lp)
-            continue; /* Lemma 5.8 */
+        if (prunable(r, size, new_len, new_prod, skyline_threshold(S, 1.0 - new_prod)))
+            continue;
         if (r->n_nodes == r->nodes_cap) {
             route_node *grown = grow(r->nodes, &r->nodes_cap, r->n_nodes + 1, sizeof(route_node), 256);
             if (!grown)

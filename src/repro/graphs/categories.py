@@ -16,8 +16,8 @@ ancestors of ``c`` and any ancestor of ``c'`` are a subset of those of
 ``c`` and ``c'``, the max is attained at ``c'`` itself and the expression
 reduces to the LCA form implemented here.)  :meth:`CategoryForest.sim_row`
 computes it for every category against one, from an ancestor-at-depth
-table built with the forest; the scalar ``sim`` and footnote 2's delta read
-that row, and :meth:`CategoryForest.in_subtree` reads the table itself.
+table built with the forest; footnote 2's delta reads that row, and
+:meth:`CategoryForest.in_subtree` reads the table itself.
 """
 from __future__ import annotations
 
@@ -46,18 +46,13 @@ class CategoryForest:
     tree_id: list[int]
     depth: list[int]
     name: list[str]
-    _kids: list[list[int]] = field(init=False, repr=False)
     _depth: np.ndarray = field(init=False, repr=False)  # ``depth`` as int64
     # _anc[d - 1, c]: the ancestor of c at depth d, -1 for d > depth[c]
     _anc: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # Built with the forest, like a graph's CSR, so no engine pays for
-        # them on its first call (Table 6 traces each engine's allocations).
-        self._kids = [[] for _ in self.parent]
-        for i, p in enumerate(self.parent):
-            if p != -1:
-                self._kids[p].append(i)
+        # it on its first call (Table 6 traces each engine's allocations).
         parent = np.asarray(self.parent, dtype=np.int64)
         depth = self._depth = np.asarray(self.depth, dtype=np.int64)
         self._anc = np.full((int(depth.max(initial=0)), len(parent)), -1, dtype=np.int64)
@@ -76,18 +71,12 @@ class CategoryForest:
         """Ancestors of ``c`` from ``c`` itself up to its root (inclusive)."""
         return tuple(self._anc[self.depth[c] - 1 :: -1, c].tolist())
 
-    def children(self, c: int) -> list[int]:
-        return list(self._kids[c])
-
     def leaves(self) -> list[int]:
         has_child = [False] * self.n_categories
         for p in self.parent:
             if p != -1:
                 has_child[p] = True
         return [c for c in range(self.n_categories) if not has_child[c]]
-
-    def leaves_of_tree(self, t: int) -> list[int]:
-        return [c for c in self.leaves() if self.tree_id[c] == t]
 
     @property
     def n_trees(self) -> int:
@@ -105,15 +94,6 @@ class CategoryForest:
         d = self.depth[c]
         lca_depth = np.count_nonzero(self._anc[:d] == self._anc[:d, c, None], axis=0)
         return 2.0 * lca_depth / (self._depth + d)
-
-    def sim(self, c1: int, c2: int) -> float:
-        """Wu–Palmer similarity of two categories, read from :meth:`sim_row`."""
-        return float(self.sim_row(c2)[c1])
-
-    def max_nonperfect_sim(self, c: int) -> float:
-        """Largest ``sim(c', c) < 1`` over the forest, 0 if there is none:
-        :meth:`max_nonperfect` of ``c``'s :meth:`sim_row`."""
-        return self.max_nonperfect(self.sim_row(c))
 
     @staticmethod
     def max_nonperfect(row: np.ndarray) -> float:
@@ -213,30 +193,5 @@ def generated_forest(n_trees: int, fanout: int = 3, height: int = 3) -> Category
                 for j in range(fanout):
                     nxt.append(add(t, f, d, f"{name[f]}.{j}"))
             frontier = nxt
-    return CategoryForest(parent, tree_id, depth, name)
-
-
-def depth2_forest(n_trees: int, n_leaves: int) -> CategoryForest:
-    """Root + leaves forest (depth 2).
-
-    Under depth-2 trees the paper's naive super-category-sequence baseline is
-    provably exact (see DESIGN.md §deviations-4), so tests compare the
-    baselines against BSSR on these forests.
-    """
-    parent: list[int] = []
-    tree_id: list[int] = []
-    depth: list[int] = []
-    name: list[str] = []
-    for t in range(n_trees):
-        root = len(parent)
-        parent.append(-1)
-        tree_id.append(t)
-        depth.append(1)
-        name.append(f"R{t}")
-        for j in range(n_leaves):
-            parent.append(root)
-            tree_id.append(t)
-            depth.append(2)
-            name.append(f"R{t}/leaf{j}")
     return CategoryForest(parent, tree_id, depth, name)
 

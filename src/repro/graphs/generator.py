@@ -97,10 +97,6 @@ class Graph:
             extra_cats=self.extra_cats,
         )
 
-    @property
-    def poi_ids(self) -> np.ndarray:
-        return np.nonzero(self.cat_of >= 0)[0]
-
     def pois_of_category(self, c: int) -> np.ndarray:
         return np.nonzero(self.cat_of == c)[0]
 

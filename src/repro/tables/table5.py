@@ -5,27 +5,16 @@ layout mirrors the paper's Table 5 with the reproduction columns appended.
 """
 from __future__ import annotations
 
-from pyspark.sql import SparkSession
-
 from repro.graphs.generator import PAPER_TABLE5
 from repro.tables.common import DATASETS, env_scale, get_dataset
 
 
-def rows(spark: SparkSession | None = None, *, scale: float | None = None) -> list[dict]:
+def rows(*, scale: float | None = None) -> list[dict]:
     scale = env_scale(1.0) if scale is None else scale
     out = []
     for name in DATASETS:
         ds = get_dataset(name, scale)
         area, pv, pp, pe = PAPER_TABLE5[name]
-        n_v, n_p, n_e = ds.graph.n_road, ds.graph.n_pois, ds.graph.n_edges
-        if spark is not None:
-            # Exercise the Spark ingest path: counts must agree with the
-            # in-memory graph (the oracle-checked relational view).
-            from repro.core.skysr_spark import dataset_tables
-
-            t = dataset_tables(spark, ds)
-            n_p = t["pois"].count()
-            n_e = t["edges"].count()
         out.append(
             {
                 "Dataset": ds.name,
@@ -33,9 +22,9 @@ def rows(spark: SparkSession | None = None, *, scale: float | None = None) -> li
                 "paper |V|": pv,
                 "paper |P|": pp,
                 "paper |E|": pe,
-                "ours |V|": n_v,
-                "ours |P|": n_p,
-                "ours |E|": n_e,
+                "ours |V|": ds.graph.n_road,
+                "ours |P|": ds.graph.n_pois,
+                "ours |E|": ds.graph.n_edges,
                 "categories": ds.forest.n_categories,
                 "trees": ds.forest.n_trees,
             }

@@ -1,6 +1,8 @@
 """Table 7 — effect of the initial search (NNinit, §5.3.1) for |S_q|=2..5.
 
-Per (dataset, size) cell, averaged over the query batch:
+Per (dataset, size) cell, averaged over the query batch, from the counters
+of full :func:`~repro.core.bssr.bssr` runs with NNinit on and off (the
+other optimizations on):
 
 * ``weight sum``      — edge weight scanned by the *first* modified Dijkstra
                         when NNinit seeded the threshold (proposed);
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bssr import bssr_first_scan
+from repro.core.bssr import BSSROptions, bssr
 from repro.tables.common import DATASETS, env_queries, env_scale, get_dataset
 from repro.workloads import make_queries
 
@@ -58,14 +60,13 @@ def rows(*, scale: float | None = None, n_queries: int | None = None, sizes=SIZE
             queries = make_queries(ds, size=size, n_queries=n_queries, seed=31)
             with_init, without_init, nn_ms, nn_routes, nn_ratio = [], [], [], [], []
             for q in queries:
-                st = bssr_first_scan(ds.graph, ds.forest, q.v_q, list(q.seq_cats))
+                cats = list(q.seq_cats)
+                st = bssr(ds.graph, ds.forest, q.v_q, cats).stats
                 with_init.append(st.first_weight_sum)
                 nn_ms.append(st.nninit_time_ms)
                 nn_routes.append(st.nninit_routes)
                 nn_ratio.append(st.nninit_ratio)
-                st0 = bssr_first_scan(
-                    ds.graph, ds.forest, q.v_q, list(q.seq_cats), use_nninit=False
-                )
+                st0 = bssr(ds.graph, ds.forest, q.v_q, cats, options=BSSROptions(use_nninit=False)).stats
                 without_init.append(st0.first_weight_sum)
             p = PAPER[name]
             out.append(

@@ -1,8 +1,10 @@
-"""Shared fixtures for the test suite.
+"""Shared fixtures and references for the test suite.
 
 The Spark session fixture lives in the repo-root conftest; here we add
 small deterministic datasets and graph factories so individual tests stay
-fast and reproducible.
+fast and reproducible, and the slow, obviously-correct Python references
+(route rescoring, the textbook search, the skyline set) that the engines
+are checked against.
 """
 from __future__ import annotations
 
@@ -15,10 +17,68 @@ import numpy as np
 import pytest
 
 from repro.core.dominance import _EPS, score_key
-from repro.graphs.categories import depth2_forest, foursquare_lite_forest
+from repro.core.query import QueryContext
+from repro.core.scores import semantic_score
+from repro.graphs.categories import CategoryForest, foursquare_lite_forest, generated_forest
+from repro.graphs.dijkstra import settle_to, vertex_mask
 from repro.graphs.generator import dataset, road_network
 
 INF = float("inf")
+
+
+def children(forest, c: int) -> list[int]:
+    """The child categories of ``c``, in id order."""
+    return [i for i, p in enumerate(forest.parent) if p == c]
+
+
+def leaves_of_tree(forest, t: int) -> list[int]:
+    """The leaf categories of category tree ``t``, in id order."""
+    return [c for c in forest.leaves() if forest.tree_id[c] == t]
+
+
+def depth2_forest(n_trees: int, n_leaves: int) -> CategoryForest:
+    """Root + leaves forest (depth 2).
+
+    Under depth-2 trees the paper's naive super-category-sequence baseline is
+    provably exact (see DESIGN.md §deviations-4), so tests compare the
+    baselines against BSSR on these forests.
+    """
+    return generated_forest(n_trees, fanout=n_leaves, height=2)
+
+
+def route_scores(graph, forest, v_q: int, seq_cats, route, *, destination=None) -> tuple[float, float]:
+    """Recompute ``(l(R), s(R))`` (Def. 3.5) from scratch, one leg search
+    at a time — the slow, obviously-correct scoring the engines' answers are
+    checked against.  Similarities come from ``QueryContext``, so a §6
+    multi-category PoI scores through its best category, as in every
+    engine.  With a §6 ``destination``, the length includes the leg from the
+    last PoI to it."""
+    if len(route) != len(seq_cats):
+        raise ValueError("route and category sequence sizes differ (Def. 3.4-i)")
+    ctx = QueryContext(graph, forest, v_q, list(seq_cats), destination)
+    total = 0.0
+    prev = v_q
+    prod = 1.0
+    for pos, poi in enumerate(route):
+        found = settle_to(graph, (prev,), vertex_mask(graph.n_vertices, (poi,)), limit=1)
+        total += found[0][0] if found else float("inf")
+        prod *= ctx.sim_at(pos, poi)
+        prev = poi
+    if ctx.dest_dist is not None:
+        total += float(ctx.dest_dist[prev])
+    return total, semantic_score(prod)
+
+
+def is_sequenced_route(graph, forest, seq_cats, route) -> bool:
+    """Def. 3.4: right size, per-position semantic match (through any of a
+    PoI's categories, as ``QueryContext`` defines it), all PoIs distinct."""
+    if len(route) != len(seq_cats):
+        return False
+    if len(set(route)) != len(route):
+        return False
+    # Matching does not depend on the start point; any vertex serves as v_q.
+    ctx = QueryContext(graph, forest, 0, list(seq_cats))
+    return all(ctx.sim_at(pos, poi) > 0 for pos, poi in enumerate(route))
 
 
 @pytest.fixture(scope="session")
@@ -125,6 +185,11 @@ def adjacency(graph) -> list[list[tuple[int, float]]]:
     indptr, indices, weights = graph.csr()
     idx, wts, ptr = indices.tolist(), weights.tolist(), indptr.tolist()
     return [list(zip(idx[a:b], wts[a:b])) for a, b in zip(ptr, ptr[1:])]
+
+
+def poi_ids(graph) -> np.ndarray:
+    """The PoI vertices of ``graph``, in id order."""
+    return np.flatnonzero(graph.cat_of >= 0)
 
 
 def pois_of_tree(graph, forest, tree: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from repro.core.query import QueryContext
 from repro.graphs.categories import foursquare_lite_forest, generated_forest
 from repro.graphs.dijkstra import dijkstra, settle_to
 from repro.graphs.generator import graph_from_edges
-from tests.conftest import matches, perfect_matches, pois_of_tree, random_query
+from tests.conftest import leaves_of_tree, matches, perfect_matches, pois_of_tree, random_query
 
 
 def brute_osr(graph, v_q, match_sets):
@@ -167,14 +167,14 @@ class TestPNELazyLists:
 class TestSuperSequences:
     def test_count_is_product_of_depths(self, random_world_factory):
         _g, f, _rng = random_world_factory(0)
-        cats = [f.leaves_of_tree(0)[0], f.leaves_of_tree(1)[0]]
+        cats = [leaves_of_tree(f, 0)[0], leaves_of_tree(f, 1)[0]]
         seqs = super_category_sequences(f, cats)
         assert len(seqs) == f.depth[cats[0]] * f.depth[cats[1]]
         assert (cats[0], cats[1]) in seqs
 
     def test_each_position_is_ancestor(self, random_world_factory):
         _g, f, _rng = random_world_factory(0)
-        cats = [f.leaves_of_tree(2)[3], f.leaves_of_tree(4)[1]]
+        cats = [leaves_of_tree(f, 2)[3], leaves_of_tree(f, 4)[1]]
         for sseq in super_category_sequences(f, cats):
             for anc, c in zip(sseq, cats):
                 assert anc in f.ancestors(c)
@@ -188,7 +188,7 @@ class TestSuperSequences:
 
     def test_subtree_match_leaf_is_exact(self, random_world_factory):
         g, f, _rng = random_world_factory(1)
-        leaf = f.leaves_of_tree(0)[0]
+        leaf = leaves_of_tree(f, 0)[0]
         got = set(int(p) for p in subtree_match_set(g, f, leaf))
         assert got == set(int(p) for p in g.pois_of_category(leaf))
 

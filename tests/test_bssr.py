@@ -15,12 +15,15 @@ from hypothesis import strategies as st
 
 import repro.core.query as query_mod
 from repro.baselines.brute import brute_force_skysr, score_set
-from repro.core.bssr import BSSROptions, bssr, bssr_first_scan
-from repro.core.scores import is_sequenced_route, route_scores
+from repro.core.bounds import MinDistBounds
+from repro.core.bssr import BSSROptions, bssr
+from repro.core.dominance import SkylineSet
+from repro.core.nninit import nninit, nninit_ratio
+from repro.core.query import QueryContext
 from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs.dijkstra import settle_below
 from repro.graphs.generator import graph_from_edges
-from tests.conftest import adjacency, random_query
+from tests.conftest import adjacency, is_sequenced_route, leaves_of_tree, poi_ids, random_query, route_scores
 
 ALL_FLAG_COMBOS = [
     BSSROptions(use_nninit=nn, pq_mode=pq, use_min_dist=md, use_cache=ca)
@@ -112,7 +115,7 @@ class TestExactnessRandomized:
         """A route whose destination leg is unreachable has no finite length,
         so it is no result (brute force skips it too)."""
         f = foursquare_lite_forest()
-        leaf = f.leaves_of_tree(0)[0]
+        leaf = leaves_of_tree(f, 0)[0]
         g = graph_from_edges(3, [(0, 1, 1.0)], {1: leaf})
         assert brute_force_skysr(g, f, 0, [leaf], destination=2) == []
         for opts in ALL_FLAG_COMBOS:
@@ -126,7 +129,7 @@ _FUZZ_CATS = sorted(
     {
         a
         for t in (0, 1)
-        for leaf in (*_FOREST.leaves_of_tree(t)[:2], _FOREST.leaves_of_tree(t)[-1])
+        for leaf in (*leaves_of_tree(_FOREST, t)[:2], leaves_of_tree(_FOREST, t)[-1])
         for a in _FOREST.ancestors(leaf)
     }
 )
@@ -250,8 +253,8 @@ class TestInstrumentation:
         ds = tiny_tokyo
         rng = np.random.default_rng(2)
         v_q, cats = random_query(ds.graph, ds.forest, rng, 3)
-        seeded = bssr_first_scan(ds.graph, ds.forest, v_q, cats)
-        unseeded = bssr_first_scan(ds.graph, ds.forest, v_q, cats, use_nninit=False)
+        seeded = bssr(ds.graph, ds.forest, v_q, cats).stats
+        unseeded = bssr(ds.graph, ds.forest, v_q, cats, options=BSSROptions(use_nninit=False)).stats
         assert seeded.first_weight_sum <= unseeded.first_weight_sum
         assert unseeded.first_weight_sum == pytest.approx(
             2 * ds.graph.edges_w.sum(), rel=0.2
@@ -276,13 +279,22 @@ class TestInstrumentation:
                 assert ball.weight_sum == want
 
     def test_first_scan_matches_full_run(self, tiny_tokyo):
+        """Table 7's counters: a full run's first scan is the empty route's
+        ``settle_below`` from ``v_q``, at the budget that the NNinit seed,
+        when on, and the l_s bound leave it."""
         ds = tiny_tokyo
         rng = np.random.default_rng(3)
         v_q, cats = random_query(ds.graph, ds.forest, rng, 2)
-        fast = bssr_first_scan(ds.graph, ds.forest, v_q, cats)
-        full = bssr(ds.graph, ds.forest, v_q, cats).stats
-        for field in ("first_weight_sum", "first_radius", "nninit_routes", "nninit_ratio"):
-            assert getattr(fast, field) == getattr(full, field), field
+        ctx = QueryContext(ds.graph, ds.forest, v_q, cats)
+        for use_nninit in (True, False):
+            S = nninit(ctx) if use_nninit else SkylineSet()
+            ls = MinDistBounds.compute(ctx, S.threshold(0.0)).ls_suffix
+            ball = settle_below(ds.graph, v_q, S.threshold(0.0) - ls[1], through=ctx.through[0], mark=ctx.sim[0])
+            full = bssr(ds.graph, ds.forest, v_q, cats, options=BSSROptions(use_nninit=use_nninit)).stats
+            assert full.first_weight_sum == ball.weight_sum
+            assert full.first_radius == ball.dist[-1]
+            assert full.nninit_routes == len(S)
+            assert full.nninit_ratio == nninit_ratio(S)
 
     def test_proposed_pq_visits_no_more(self, tiny_tokyo):
         """Table 8's direction on a realistic slice (aggregate over a few
@@ -525,6 +537,6 @@ class TestDegenerateQueries:
     def test_start_on_poi_vertex(self, random_world_factory):
         g, f, rng = random_world_factory(8)
         _v, cats = random_query(g, f, rng, 2)
-        v_q = int(g.poi_ids[0])
+        v_q = int(poi_ids(g)[0])
         want = score_set(brute_force_skysr(g, f, v_q, cats))
         assert bssr(g, f, v_q, cats).score_set() == want

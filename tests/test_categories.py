@@ -6,14 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.categories import (
-    CategoryForest,
-    build_forest,
-    depth2_forest,
-    foursquare_lite_forest,
-    generated_forest,
-)
-from tests.conftest import lca, wu_palmer
+from repro.graphs.categories import CategoryForest, build_forest, foursquare_lite_forest, generated_forest
+from tests.conftest import children, depth2_forest, lca, leaves_of_tree, wu_palmer
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +55,7 @@ class TestConstruction:
             assert [fsq.depth[a] for a in chain] == list(range(fsq.depth[c], 0, -1))
 
     def test_leaves_of_tree(self, fsq):
-        leaves = fsq.leaves_of_tree(0)
+        leaves = leaves_of_tree(fsq, 0)
         assert len(leaves) == 24
         assert all(fsq.tree_id[c] == 0 and fsq.depth[c] == 3 for c in leaves)
 
@@ -77,7 +71,7 @@ class TestConstruction:
 
     def test_children(self, fsq):
         root0 = 0
-        kids = fsq.children(root0)
+        kids = children(fsq, root0)
         assert len(kids) == 4
         assert all(fsq.parent[k] == root0 for k in kids)
 
@@ -86,54 +80,54 @@ class TestConstruction:
 class TestSimilarity:
     def test_identity(self, fsq):
         for c in range(0, fsq.n_categories, 13):
-            assert fsq.sim(c, c) == 1.0
+            assert fsq.sim_row(c)[c] == 1.0
 
     def test_cross_tree_zero(self, fsq):
-        t0 = fsq.leaves_of_tree(0)[0]
-        t1 = fsq.leaves_of_tree(1)[0]
-        assert fsq.sim(t0, t1) == 0.0
+        t0 = leaves_of_tree(fsq, 0)[0]
+        t1 = leaves_of_tree(fsq, 1)[0]
+        assert fsq.sim_row(t1)[t0] == 0.0
 
     def test_symmetry(self, fsq):
         leaves = fsq.leaves()
         rng = np.random.default_rng(0)
         for _ in range(50):
             a, b = rng.choice(leaves, 2)
-            assert fsq.sim(int(a), int(b)) == fsq.sim(int(b), int(a))
+            assert fsq.sim_row(int(b))[int(a)] == fsq.sim_row(int(a))[int(b)]
 
     def test_sibling_leaves_wu_palmer(self, fsq):
         # Two leaves under the same mid: lca depth 2, both depth 3 -> 4/6.
-        mid = fsq.children(0)[0]
+        mid = children(fsq, 0)[0]
         l1, l2 = [c for c in range(fsq.n_categories) if fsq.parent[c] == mid][:2]
-        assert fsq.sim(l1, l2) == pytest.approx(2 * 2 / (3 + 3))
+        assert fsq.sim_row(l2)[l1] == pytest.approx(2 * 2 / (3 + 3))
 
     def test_cousin_leaves_wu_palmer(self, fsq):
         # Leaves under different mids of one tree: lca is the root -> 2/6.
-        m1, m2 = fsq.children(0)[:2]
+        m1, m2 = children(fsq, 0)[:2]
         l1 = next(c for c in range(fsq.n_categories) if fsq.parent[c] == m1)
         l2 = next(c for c in range(fsq.n_categories) if fsq.parent[c] == m2)
-        assert fsq.sim(l1, l2) == pytest.approx(2 * 1 / (3 + 3))
+        assert fsq.sim_row(l2)[l1] == pytest.approx(2 * 1 / (3 + 3))
 
     def test_parent_child(self, fsq):
-        mid = fsq.children(0)[0]
+        mid = children(fsq, 0)[0]
         leaf = next(c for c in range(fsq.n_categories) if fsq.parent[c] == mid)
-        assert fsq.sim(mid, leaf) == pytest.approx(2 * 2 / (2 + 3))
-        assert fsq.sim(0, leaf) == pytest.approx(2 * 1 / (1 + 3))
+        assert fsq.sim_row(leaf)[mid] == pytest.approx(2 * 2 / (2 + 3))
+        assert fsq.sim_row(leaf)[0] == pytest.approx(2 * 1 / (1 + 3))
 
     def test_range(self, cal):
         rng = np.random.default_rng(1)
         for _ in range(100):
             a, b = rng.integers(0, cal.n_categories, 2)
-            s = cal.sim(int(a), int(b))
+            s = cal.sim_row(int(b))[int(a)]
             assert 0.0 <= s <= 1.0
 
     def test_max_nonperfect_sim_leaf(self, fsq):
-        leaf = fsq.leaves_of_tree(0)[0]
+        leaf = leaves_of_tree(fsq, 0)[0]
         # Best non-equal category for a depth-3 leaf is a sibling leaf (4/6)
         # or its parent (4/5) — parent wins.
-        assert fsq.max_nonperfect_sim(leaf) == pytest.approx(0.8)
+        assert fsq.max_nonperfect(fsq.sim_row(leaf)) == pytest.approx(0.8)
 
     def test_lca_cross_tree(self, fsq):
-        assert lca(fsq, 0, fsq.leaves_of_tree(1)[0]) == -1
+        assert lca(fsq, 0, leaves_of_tree(fsq, 1)[0]) == -1
 
     @pytest.mark.parametrize(
         "forest",
@@ -152,7 +146,7 @@ class TestSimilarity:
         for c in range(forest.n_categories):
             want = [wu_palmer(forest, c2, c) for c2 in range(forest.n_categories)]
             assert forest.sim_row(c).tolist() == want
-            assert forest.max_nonperfect_sim(c) == max(want[:c] + want[c + 1 :], default=0.0)
+            assert forest.max_nonperfect(forest.sim_row(c)) == max(want[:c] + want[c + 1 :], default=0.0)
 
     @given(st.integers(2, 5), st.integers(2, 4), st.data())
     @settings(max_examples=25, deadline=None)
@@ -160,9 +154,9 @@ class TestSimilarity:
         f = generated_forest(n_trees, fanout=fanout, height=3)
         a = data.draw(st.integers(0, f.n_categories - 1))
         b = data.draw(st.integers(0, f.n_categories - 1))
-        s = f.sim(a, b)
+        s = f.sim_row(b)[a]
         assert 0.0 <= s <= 1.0
-        assert s == f.sim(b, a)
+        assert s == f.sim_row(a)[b]
         assert (s == 1.0) == (a == b)
         assert (s == 0.0) == (f.tree_id[a] != f.tree_id[b])
 

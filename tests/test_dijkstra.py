@@ -16,7 +16,7 @@ from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs import dijkstra as dijkstra_mod
 from repro.graphs.dijkstra import dijkstra, vertex_mask
 from repro.graphs.generator import graph_from_edges, road_network
-from tests.conftest import adjacency, floyd_warshall_reference, multi_source_to_targets, settle
+from tests.conftest import adjacency, floyd_warshall_reference, multi_source_to_targets, poi_ids, settle
 
 INF = float("inf")
 
@@ -273,7 +273,7 @@ class TestSettleTo:
         """A generated road network: from every vertex towards all PoIs,
         and from a third of the PoIs at once."""
         g = graphs[0]
-        pois = {int(p) for p in g.poi_ids}
+        pois = {int(p) for p in poi_ids(g)}
         for s in range(g.n_vertices):
             assert list(settle_to(g, [s], pois)) == _filtered_settle(g, [s], pois)
         srcs = sorted(pois)[::3]

@@ -86,7 +86,7 @@ class TestSkylineSet:
         # Dominates "loose": evicts it.
         assert S.update(4.0, 0.4, "better")
         assert len(S) == 2
-        assert ("loose" not in [p for (_s, _l, p) in S.entries])
+        assert ("loose" not in [p for (_l, _s, p) in S.routes()])
 
     def test_update_rejects_dominated(self):
         S = SkylineSet()
@@ -103,7 +103,7 @@ class TestSkylineSet:
         S = SkylineSet()
         S.update(10.0, 0.2, "a")
         assert S.update(8.0, 0.2, "b")
-        assert len(S) == 1 and S.entries[0][2] == "b"
+        assert len(S) == 1 and S.routes()[0][2] == "b"
 
     def test_threshold_eq3(self):
         S = SkylineSet()
@@ -165,8 +165,8 @@ class TestSkylineSet:
         S = SkylineSet()
         for _ in range(200):
             S.update(float(rng.uniform(0, 50)), float(rng.uniform(0, 1)), None)
-        ss = [s for (s, _l, _p) in S.entries]
-        ls = [l for (_s, l, _p) in S.entries]
+        ss = [s for (_l, s, _p) in S.routes()]
+        ls = [l for (l, _s, _p) in S.routes()]
         assert ss == sorted(ss)
         assert ls == sorted(ls, reverse=True)
 
@@ -191,7 +191,7 @@ class TestAgainstReference:
         S, ref = SkylineSet(), ReferenceSkylineSet()
         for i, (l, s) in enumerate(stream):
             assert S.update(l, s, i) == ref.update(l, s, i), (l, s)
-            assert S.entries == ref.entries
+            assert S.routes() == ref.routes()
             assert len(S) == len(ref)
             for x in [*probes, s, s - _EPS, s + _EPS, *(e[0] for e in ref.entries)]:
                 assert S.threshold(x) == ref.threshold(x), x

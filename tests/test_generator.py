@@ -13,13 +13,12 @@ import pytest
 from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs.generator import (
     PAPER_TABLE5,
-    Dataset,
     dataset,
     graph_from_edges,
     popular_leaf_categories,
     road_network,
 )
-from tests.conftest import pois_of_tree
+from tests.conftest import poi_ids, pois_of_tree
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +139,7 @@ class TestPresets:
         spread must be well below the road vertices'."""
         ds = dataset("cal-lite", scale=0.25)
         g = ds.graph
-        poi_xy = g.xy[g.poi_ids]
+        poi_xy = g.xy[poi_ids(g)]
         road_xy = g.xy[: g.n_road]
         assert poi_xy.std(axis=0).mean() < 0.8 * road_xy.std(axis=0).mean()
 
@@ -264,21 +263,8 @@ class TestHelpers:
             for p in ps:
                 assert f.tree_id[int(small_graph.cat_of[p])] == t
             all_pois |= set(int(p) for p in ps)
-        assert all_pois == set(int(p) for p in small_graph.poi_ids)
+        assert all_pois == set(int(p) for p in poi_ids(small_graph))
 
-    def test_pandas_views(self, spark, small_graph):
-        """The relational edges/pois views: one row per edge and per PoI,
-        every PoI id present, each PoI tagged with its own category."""
-        from repro.core.skysr_spark import dataset_tables
-
-        g = small_graph
-        t = dataset_tables(spark, Dataset("small", g, foursquare_lite_forest()))
-        e = t["edges"].toPandas()
-        p = t["pois"].toPandas()
-        assert len(e) == g.n_edges
-        assert len(p) == g.n_pois
-        assert set(p.poi_id) == set(int(x) for x in g.poi_ids)
-        assert all(int(c) == int(g.cat_of[i]) for i, c in zip(p.poi_id, p.cat_id))
 
 
 def test_local_engines_import_neither_pandas_nor_pyspark():
@@ -289,7 +275,8 @@ def test_local_engines_import_neither_pandas_nor_pyspark():
         "import sys\n"
         "import repro.core.bssr, repro.baselines.naive, repro.baselines.brute\n"
         "import repro.workloads, repro.tables.common\n"
-        "import repro.tables.table6, repro.tables.table7, repro.tables.table8, repro.tables.table9\n"
+        "import repro.tables.table5, repro.tables.table6, repro.tables.table7, repro.tables.table8\n"
+        "import repro.tables.table9\n"
         "loaded = sorted({'pandas', 'pyspark'} & set(sys.modules))\n"
         "assert not loaded, loaded\n"
     )

@@ -1,8 +1,7 @@
 """Job entrypoints (jobs/*.py) — smoke-run each main() at tiny scale.
 
-The Spark-session-creating jobs (table5, fig3-with-spark) are exercised
-through their row functions elsewhere; here fig3 runs with REPRO_SPARK=0
-so no job ever stops the shared test session.
+fig3 is the one job that opens a Spark session; here it runs with
+REPRO_SPARK=0, so no job ever stops the shared test session.
 """
 from __future__ import annotations
 
@@ -33,6 +32,7 @@ def tiny_env(monkeypatch):
 @pytest.mark.parametrize(
     "job",
     [
+        "table5_datasets",
         "table6_rss",
         "table7_initial_search",
         "table8_priority_queue",

@@ -14,9 +14,16 @@ import pytest
 from repro.core.bounds import MinDistBounds
 from repro.core.dominance import SkylineSet, dominates
 from repro.core.query import QueryContext
-from repro.core.scores import route_scores
 from repro.graphs.dijkstra import dijkstra
-from tests.conftest import matches, multi_source_to_targets, perfect_matches, random_query
+from tests.conftest import (
+    leaves_of_tree,
+    matches,
+    multi_source_to_targets,
+    perfect_matches,
+    poi_ids,
+    random_query,
+    route_scores,
+)
 
 
 def _sequenced_routes(ctx, max_total=400):
@@ -103,8 +110,8 @@ class TestLemma55SwapDominance:
         from repro.graphs.generator import graph_from_edges
 
         f = foursquare_lite_forest()
-        food = f.leaves_of_tree(0)
-        shop = f.leaves_of_tree(1)
+        food = leaves_of_tree(f, 0)
+        shop = leaves_of_tree(f, 1)
         # v_q=0 -> x(1, perfect food) -> u(2, sibling food) -> shop(3).
         g = graph_from_edges(
             4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], {1: food[0], 2: food[1], 3: shop[0]}
@@ -119,8 +126,8 @@ class TestLemma59MultiSourceDijkstra:
     @pytest.mark.parametrize("seed", range(3))
     def test_first_settled_target_is_global_min(self, random_world_factory, seed):
         g, f, rng = random_world_factory(seed, n_road=50, n_pois=30)
-        srcs = [int(p) for p in g.poi_ids[:4]]
-        tgts = [int(p) for p in g.poi_ids[-4:]]
+        srcs = [int(p) for p in poi_ids(g)[:4]]
+        tgts = [int(p) for p in poi_ids(g)[-4:]]
         got = multi_source_to_targets(g, srcs, tgts)
         want = min(float(dijkstra(g, s)[t]) for s in srcs for t in tgts)
         assert got == pytest.approx(want)

@@ -5,10 +5,9 @@ import pytest
 
 from repro.core.nninit import nninit, nninit_ratio
 from repro.core.query import QueryContext
-from repro.core.scores import is_sequenced_route, route_scores
 from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs.generator import graph_from_edges
-from tests.conftest import random_query
+from tests.conftest import is_sequenced_route, leaves_of_tree, random_query, route_scores
 
 
 @pytest.fixture(scope="module")
@@ -16,8 +15,8 @@ def chain_world():
     """Line graph: vq=0, food PoIs at 2 (perfect) and 1 (sibling), shop PoIs
     at 4 (sibling of target) and 5 (perfect)."""
     f = foursquare_lite_forest()
-    food = f.leaves_of_tree(0)
-    shop = f.leaves_of_tree(1)
+    food = leaves_of_tree(f, 0)
+    shop = leaves_of_tree(f, 1)
     g = graph_from_edges(
         6,
         [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0)],
@@ -70,8 +69,8 @@ class TestNNinitChain:
 class TestNNinitEdgeCases:
     def test_no_perfect_match_returns_partial_findings(self):
         f = foursquare_lite_forest()
-        food = f.leaves_of_tree(0)
-        shop = f.leaves_of_tree(1)
+        food = leaves_of_tree(f, 0)
+        shop = leaves_of_tree(f, 1)
         # Only a *sibling* of the requested shop category exists.
         g = graph_from_edges(
             4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], {1: food[0], 3: shop[1]}
@@ -85,8 +84,8 @@ class TestNNinitEdgeCases:
 
     def test_missing_intermediate_perfect_aborts_softly(self):
         f = foursquare_lite_forest()
-        food = f.leaves_of_tree(0)
-        shop = f.leaves_of_tree(1)
+        food = leaves_of_tree(f, 0)
+        shop = leaves_of_tree(f, 1)
         g = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)], {2: shop[0]})
         ctx = QueryContext(g, f, 0, [food[0], shop[0]])
         S = nninit(ctx)
@@ -95,7 +94,7 @@ class TestNNinitEdgeCases:
     def test_distinct_poi_constraint(self):
         """Same tree twice: the single perfect PoI cannot be reused."""
         f = foursquare_lite_forest()
-        food = f.leaves_of_tree(0)
+        food = leaves_of_tree(f, 0)
         g = graph_from_edges(
             4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], {1: food[0], 3: food[0]}
         )

@@ -10,7 +10,15 @@ from repro.core.bssr import bssr
 from repro.core.query import QueryContext
 from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs.generator import graph_from_edges, road_network
-from tests.conftest import matches, perfect_matches, pois_of_tree, random_query, wu_palmer
+from tests.conftest import (
+    children,
+    leaves_of_tree,
+    matches,
+    perfect_matches,
+    pois_of_tree,
+    random_query,
+    wu_palmer,
+)
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +37,9 @@ class TestMatchTables:
         g, f = world
         rng = np.random.default_rng(0)
         v_q, cats = random_query(g, f, rng, 3)
-        leaf = f.leaves_of_tree(0)[0]
-        sibling = next(c for c in f.children(f.parent[leaf]) if c != leaf)
-        other = f.leaves_of_tree(1)[0]
+        leaf = leaves_of_tree(f, 0)[0]
+        sibling = next(c for c in children(f, f.parent[leaf]) if c != leaf)
+        other = leaves_of_tree(f, 1)[0]
         g6 = graph_from_edges(
             5,
             [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)],
@@ -88,7 +96,7 @@ class TestGates:
 
     def test_repeated_tree_gate_off(self, world):
         g, f = world
-        leaves0 = [c for c in f.leaves_of_tree(0) if len(g.pois_of_category(c))]
+        leaves0 = [c for c in leaves_of_tree(f, 0) if len(g.pois_of_category(c))]
         if len(leaves0) < 2:
             pytest.skip("need two populated leaves in one tree")
         ctx = QueryContext(g, f, 0, [leaves0[0], leaves0[1]])
@@ -99,10 +107,10 @@ class TestGates:
 class TestNonperfectBounds:
     def test_max_nonperfect_is_category_level(self, world):
         g, f = world
-        leaf = f.leaves_of_tree(0)[0]
+        leaf = leaves_of_tree(f, 0)[0]
         ctx = QueryContext(g, f, 0, [leaf])
         # For a depth-3 leaf the best non-equal category is its parent: 0.8.
-        assert ctx.max_nonperfect[0] == pytest.approx(f.max_nonperfect_sim(leaf))
+        assert ctx.max_nonperfect[0] == pytest.approx(f.max_nonperfect(f.sim_row(leaf)))
 
     def test_suffix_is_max_over_remaining(self, world):
         g, f = world
@@ -111,7 +119,7 @@ class TestNonperfectBounds:
         ctx = QueryContext(g, f, v_q, cats)
         for pos in range(ctx.k + 1):
             want = max(ctx.max_nonperfect[pos:], default=0.0)
-            assert ctx.max_nonperfect_suffix(pos) == pytest.approx(want)
+            assert ctx.nonperfect_suffix[pos] == pytest.approx(want)
 
     def test_suffix_bound_dominates_achievable(self, world):
         """Any non-perfect single-position match factor achievable by an

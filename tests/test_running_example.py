@@ -17,20 +17,21 @@ from repro.core.nninit import nninit
 from repro.core.query import QueryContext
 from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs.generator import graph_from_edges
+from tests.conftest import children
 
 
 @pytest.fixture(scope="module")
 def example():
     f = foursquare_lite_forest()
-    asian_mid = f.children(0)[0]  # "Asian Restaurant" mid category
+    asian_mid = children(f, 0)[0]  # "Asian Restaurant" mid category
     asian = next(c for c in range(f.n_categories) if f.parent[c] == asian_mid)
-    italian_mid = f.children(0)[1]  # "European Restaurant" stands in for Italian
+    italian_mid = children(f, 0)[1]  # "European Restaurant" stands in for Italian
     italian = next(c for c in range(f.n_categories) if f.parent[c] == italian_mid)
-    ae_root_kids = f.children(2 * 29)  # Arts & Entertainment tree root (tree 2)
+    ae_root_kids = children(f, 2 * 29)  # Arts & Entertainment tree root (tree 2)
     museum = next(c for c in range(f.n_categories) if f.parent[c] == ae_root_kids[0])
-    shop_mid_gift = f.children(29)[0]  # "Gift Shop" mid of Shop tree (tree 1)
+    shop_mid_gift = children(f, 29)[0]  # "Gift Shop" mid of Shop tree (tree 1)
     gift = next(c for c in range(f.n_categories) if f.parent[c] == shop_mid_gift)
-    shop_mid_hobby = f.children(29)[3]
+    shop_mid_hobby = children(f, 29)[3]
     hobby = next(c for c in range(f.n_categories) if f.parent[c] == shop_mid_hobby)
 
     # Vertex 0 = v_q.  A long "perfect" corridor 0-1-2-3 (asian, A&E, gift)

@@ -3,16 +3,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.scores import is_sequenced_route, route_scores, semantic_score
+from repro.core.scores import semantic_score
 from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs.generator import graph_from_edges
+from tests.conftest import is_sequenced_route, leaves_of_tree, route_scores
 
 
 @pytest.fixture(scope="module")
 def world():
     f = foursquare_lite_forest()
-    t0 = f.leaves_of_tree(0)  # Food leaves
-    t1 = f.leaves_of_tree(1)  # Shop leaves
+    t0 = leaves_of_tree(f, 0)  # Food leaves
+    t1 = leaves_of_tree(f, 1)  # Shop leaves
     # Path graph 0-1-2-3-4 with PoIs at 1 (food), 3 (shop), 4 (food sibling).
     g = graph_from_edges(
         5,

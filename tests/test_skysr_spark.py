@@ -12,11 +12,10 @@ from repro.core.bounds import MinDistBounds
 from repro.core.bssr import bssr
 from repro.core.nninit import nninit
 from repro.core.query import QueryContext
-from repro.core.skysr_spark import dataset_tables, expand, extend, skysr_spark
-from repro.core.scores import is_sequenced_route, route_scores
+from repro.core.skysr_spark import expand, extend, skysr_spark
 from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs.generator import graph_from_edges
-from tests.conftest import matches, random_query, skysr_spark_scores
+from tests.conftest import is_sequenced_route, leaves_of_tree, matches, random_query, route_scores, skysr_spark_scores
 
 
 class TestPipelineExactness:
@@ -49,7 +48,7 @@ class TestPipelineExactness:
 
     def test_unreachable_destination_gives_no_route(self, spark):
         f = foursquare_lite_forest()
-        leaf = f.leaves_of_tree(0)[0]
+        leaf = leaves_of_tree(f, 0)[0]
         g = graph_from_edges(3, [(0, 1, 1.0)], {1: leaf})
         assert skysr_spark(spark, g, f, 0, [leaf], destination=2).collect() == []
 
@@ -183,15 +182,6 @@ class TestPlanShape:
 
 
 class TestRelationalPieces:
-    def test_dataset_tables_counts(self, spark, tiny_tokyo):
-        g = tiny_tokyo.graph
-        t = dataset_tables(spark, tiny_tokyo)
-        assert t["edges"].count() == g.n_edges
-        assert t["pois"].count() == g.n_pois
-        assert {r.poi_id for r in t["pois"].collect()} == {int(x) for x in g.poi_ids}
-        assert t["edges"].dtypes == [("src", "bigint"), ("dst", "bigint"), ("w", "double")]
-        assert t["pois"].dtypes == [("poi_id", "bigint"), ("cat_id", "bigint")]
-
     def test_full_query_against_duckdb_oracle(self, spark, random_world_factory):
         """End-to-end oracle: the pipeline's minimal score set equals a
         DuckDB SQL formulation (k-way join over a pairwise-distance table,

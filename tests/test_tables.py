@@ -14,7 +14,7 @@ NQ = 2
 
 class TestTable5:
     def test_rows_local(self):
-        rows = table5.rows(None, scale=SCALE)
+        rows = table5.rows(scale=SCALE)
         assert len(rows) == 3
         for r in rows:
             assert r["ours |V|"] > 0 and r["ours |P|"] > 0 and r["ours |E|"] > 0
@@ -22,7 +22,7 @@ class TestTable5:
         assert cal["ours |P|"] > cal["ours |V|"]  # Cal's PoI-dense signature
 
     def test_formatting(self):
-        rows = table5.rows(None, scale=SCALE)
+        rows = table5.rows(scale=SCALE)
         text = fmt_table(rows, table5.COLUMNS)
         assert "tokyo-lite" in text and "paper |V|" in text
 

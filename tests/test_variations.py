@@ -15,27 +15,50 @@ from repro.core.query import QueryContext
 from repro.graphs.categories import foursquare_lite_forest
 from repro.graphs.dijkstra import dijkstra
 from repro.graphs.generator import graph_from_edges, road_network
-from tests.conftest import floyd_warshall_reference, matches, perfect_matches
+from tests.conftest import floyd_warshall_reference, leaves_of_tree, matches, perfect_matches, poi_ids
+
+
+def _reaches(out: list[list[int]], s: int, t: int) -> bool:
+    """Whether ``t`` is reachable from ``s`` over the adjacency lists ``out``."""
+    seen, stack = {s}, [s]
+    while stack:
+        u = stack.pop()
+        if u == t:
+            return True
+        for v in out[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return False
 
 
 def _directed_world(seed: int):
-    """Random directed graph built from an undirected base plus extra
-    one-way shortcuts (keeps strong connectivity via the doubled base)."""
+    """Random strongly connected directed graph: an undirected base with each
+    edge kept in both directions, or, for about 20 % of them, in one."""
     f = foursquare_lite_forest()
     base = road_network(n_road=70, n_edges_road=90, n_pois=40, forest=f, seed=seed)
     rng = np.random.default_rng(seed)
     eu = np.concatenate([base.edges_u, base.edges_v])
     ev = np.concatenate([base.edges_v, base.edges_u])
     ew = np.concatenate([base.edges_w, base.edges_w])
-    # Drop ~20% of one-way copies: asymmetric but still strongly connected
-    # in practice (verified by the tests via reachability of results).
     keep = rng.random(len(eu)) > 0.2
     keep[: len(base.edges_u)] |= ~keep[len(base.edges_u):]  # never drop both copies
+    # A dropped copy u -> v comes back when u no longer reaches v without it.
+    # Then the ends of every base edge reach each other, and since the base
+    # is connected, every vertex reaches every other.
+    out: list[list[int]] = [[] for _ in range(base.n_vertices)]
+    for u, v in zip(eu[keep].tolist(), ev[keep].tolist()):
+        out[u].append(v)
+    for i in np.flatnonzero(~keep).tolist():
+        u, v = int(eu[i]), int(ev[i])
+        if not _reaches(out, u, v):
+            keep[i] = True
+            out[u].append(v)
     edges = [(int(u), int(v), float(w)) for u, v, w, k in zip(eu, ev, ew, keep) if k]
     g = graph_from_edges(
         base.n_vertices,
         edges,
-        {int(p): int(base.cat_of[p]) for p in base.poi_ids},
+        {int(p): int(base.cat_of[p]) for p in poi_ids(base)},
         n_road=base.n_road,
         directed=True,
     )
@@ -43,6 +66,12 @@ def _directed_world(seed: int):
 
 
 class TestDirectedGraphs:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 10, 11])
+    def test_world_is_strongly_connected(self, seed):
+        g, _f, _rng = _directed_world(seed)
+        assert np.isfinite(dijkstra(g, 0)).all()  # 0 reaches every vertex
+        assert np.isfinite(dijkstra(g, 0, reverse=True)).all()  # and every vertex reaches 0
+
     @pytest.mark.parametrize("seed", range(4))
     def test_bssr_matches_brute(self, seed):
         from tests.conftest import random_query
@@ -50,6 +79,7 @@ class TestDirectedGraphs:
         g, f, rng = _directed_world(seed)
         v_q, cats = random_query(g, f, rng, 2)
         want = score_set(brute_force_skysr(g, f, v_q, cats))
+        assert want
         assert bssr(g, f, v_q, cats).score_set() == want
 
     @pytest.mark.parametrize("seed", range(2))
@@ -60,6 +90,7 @@ class TestDirectedGraphs:
         v_q, cats = random_query(g, f, rng, 2)
         dest = int(rng.integers(0, g.n_road))
         want = score_set(brute_force_skysr(g, f, v_q, cats, destination=dest))
+        assert want
         assert bssr(g, f, v_q, cats, destination=dest).score_set() == want
 
     def test_asymmetric_distances(self):
@@ -93,8 +124,8 @@ class TestMultiCategoryPoIs:
     @pytest.fixture(scope="class")
     def world(self):
         f = foursquare_lite_forest()
-        food = f.leaves_of_tree(0)
-        shop = f.leaves_of_tree(1)
+        food = leaves_of_tree(f, 0)
+        shop = leaves_of_tree(f, 1)
         # PoI 3 is primarily a shop leaf but ALSO an exact food match —
         # closer than the pure food PoI 4.
         g = graph_from_edges(
@@ -159,18 +190,18 @@ class TestMultiCategoryPoIs:
         """PoI 3 is primarily an arts leaf; its extra category is a food
         sibling of the query's food[0] — a non-perfect match (sim 2/3)."""
         f = foursquare_lite_forest()
-        food = f.leaves_of_tree(0)
-        shop = f.leaves_of_tree(1)
+        food = leaves_of_tree(f, 0)
+        shop = leaves_of_tree(f, 1)
         g = graph_from_edges(
             5,
             [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)],
-            {3: f.leaves_of_tree(2)[0], 4: food[0], 1: shop[0]},
+            {3: leaves_of_tree(f, 2)[0], 4: food[0], 1: shop[0]},
             extra_cats={3: [food[1]]},
         )
         return g, f, [food[0], shop[0]]
 
     def test_scoring_reads_extra_categories(self, partial_world):
-        from repro.core.scores import is_sequenced_route, route_scores
+        from tests.conftest import is_sequenced_route, route_scores
 
         g, f, cats = partial_world
         res = bssr(g, f, 0, cats)
